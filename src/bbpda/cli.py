@@ -6,8 +6,9 @@ compilation), ``lts`` (finite fragments), ``prop2`` (counter-test laws) and
 ``reduction-check`` (bounded game evidence on a compiled machine).
 
 Exit codes: 0 equivalent / all properties hold, 1 inequivalent / a property
-fails, 2 unknown / inconclusive, 64 parse or flag errors.  All iteration
-orders are canonical, so outputs and exit codes are deterministic.
+fails, 2 unknown / inconclusive (also when a search exhausts the recursion
+limit), 64 parse, flag or model errors.  All iteration orders are
+canonical, so outputs and exit codes are deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .game import (
     GameConfig,
     ScriptError,
     ScriptedStrategy,
-    SolverStrategy,
     parse_script,
     play_dot,
     run_play,
@@ -35,7 +35,8 @@ from .ncm import (
     prop2_suite,
 )
 from .system import Exceeded, ParseError, format_system, parse_system, parse_term
-from .tableau import Goal, format_tableau, search_tableau, tableau_dot
+from .system import SystemError as ModelError
+from .tableau import Goal, UnsupportedFlavor, format_tableau, search_tableau, tableau_dot
 
 EX_EQUIVALENT = 0
 EX_INEQUIVALENT = 1
@@ -125,14 +126,18 @@ def cmd_tableau(args) -> int:
             print("error: system declares no flavor; pass --flavor", file=sys.stderr)
             return EX_USAGE
     oracle = ExactOracle(system, budget=args.budget)
-    root, stats = search_tableau(
-        Goal(left, right),
-        flavor,
-        system,
-        oracle,
-        node_cap=args.node_cap,
-        rec_size_cap=args.rec_size_cap,
-    )
+    try:
+        root, stats = search_tableau(
+            Goal(left, right),
+            flavor,
+            system,
+            oracle,
+            node_cap=args.node_cap,
+            rec_size_cap=args.rec_size_cap,
+        )
+    except UnsupportedFlavor as exc:
+        _emit(f"unknown ({exc})", args.output)
+        return EX_UNKNOWN
     if root is None:
         _emit(f"unknown (no tableau within budgets; nodes={stats.nodes})", args.output)
         return EX_UNKNOWN
@@ -160,18 +165,8 @@ def cmd_game(args) -> int:
         _emit(text, args.output)
         return EX_EQUIVALENT if outcome.winner != "attacker" else EX_INEQUIVALENT
     result = solve_bounded(start, system, args.depth, silent_cap=args.silent_cap)
-    if args.format == "dot" and result.winner == "attacker":
-        attacker = SolverStrategy(system, args.depth, silent_cap=args.silent_cap)
-        defender = SolverStrategy(system, args.depth, silent_cap=args.silent_cap)
-        outcome = run_play(
-            system,
-            start,
-            attacker,
-            defender,
-            max_rounds=args.depth + 1,
-            silent_cap=args.silent_cap,
-        )
-        _emit(play_dot(outcome), args.output)
+    if args.format == "dot" and result.outcome is not None:
+        _emit(play_dot(result.outcome), args.output)
     else:
         _emit(result.format(), args.output)
     return EX_INEQUIVALENT if result.winner == "attacker" else EX_UNKNOWN
@@ -315,9 +310,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:
         return args.func(args)
-    except (ParseError, MachineError, ScriptError, OSError) as exc:
+    except (ParseError, MachineError, ModelError, ScriptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        _emit(f"unknown (search exceeded the Python recursion limit {limit})", args.output)
+        return EX_UNKNOWN
 
 
 if __name__ == "__main__":

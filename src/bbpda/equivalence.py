@@ -12,12 +12,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .system import EPSILON, Exceeded, FiniteLts, PdaSystem, SystemError
 from .terms import (
     EMPTY_TUP,
-    Nil,
     Process,
     Selection,
     StackWord,
@@ -57,34 +56,12 @@ class Verdict:
     script: tuple = ()
     spent: int = 0
 
-    @property
-    def equivalent(self):
-        if self.kind == "equivalent":
-            return True
-        if self.kind == "inequivalent":
-            return False
-        return None
-
     def related(self, left: Process, right: Process):
         if self.partition is None:
             return None
         if left not in self.partition or right not in self.partition:
             return None
         return self.partition[left] == self.partition[right]
-
-    def witness_pairs(self):
-        """The full same-block relation on the explored fragment."""
-        if self.partition is None:
-            return frozenset()
-        blocks = {}
-        for t, b in self.partition.items():
-            blocks.setdefault(b, []).append(t)
-        pairs = set()
-        for members in blocks.values():
-            for a in members:
-                for b in members:
-                    pairs.add((a, b))
-        return frozenset(pairs)
 
     def format(self) -> str:
         lines = [f"verdict {self.kind}"]
@@ -356,6 +333,16 @@ def joint_fragment(system: PdaSystem, left: Process, right: Process, budget: int
     return out
 
 
+def exact_equivalent(left: Process, right: Process, system: PdaSystem, budget: int = 500):
+    """The exact judgement alone: True, False, or None when the joint
+    fragment does not close within budget.  Builds only the partition."""
+    lts = joint_fragment(system, left, right, budget)
+    if lts is None:
+        return None
+    partition = branching_partition(lts)
+    return partition[left] == partition[right]
+
+
 def check_finite_exact(
     left: Process, right: Process, system: PdaSystem, budget: int = 500
 ) -> Verdict:
@@ -454,13 +441,7 @@ def extract_attacker_script(
         for side, stay, other in (("left", p, q), ("right", q, p)):
             for lab, moved in lts.successors(stay):
                 resp = _chain_responses(lts, strat, stay, lab, moved, other, k - 1)
-                good = [
-                    r
-                    for r in resp
-                    if (r[1] is None and strat.related(moved, r[2], k - 1))
-                    or (r[1] is not None and strat.related(moved, r[2], k - 1))
-                ]
-                if not good:
+                if not any(strat.related(moved, r[2], k - 1) for r in resp):
                     attacks.append((side, lab, moved, resp))
         if not attacks:
             break
@@ -481,26 +462,14 @@ def extract_attacker_script(
                 outs.append((stay, node) if side == "left" else (node, stay))
             return outs
 
-        def resilience(r):
-            vals = []
-            for a, b in follow_ups(r):
-                d = strat.least_failing_depth(a, b)
-                vals.append(INF if d is None else d)
-            return min(vals)
+        def failing(pair):
+            d = strat.least_failing_depth(*pair)
+            return INF if d is None else d
 
-        best = max(resp, key=lambda r: (resilience(r), term_key(r[2])))
-        inter, _endpoint, final = r = best
-        lines.append(f"D eps* {lab} -> {format_term(final)}")
+        best = max(resp, key=lambda r: (min(map(failing, follow_ups(r))), term_key(r[2])))
+        lines.append(f"D eps* {lab} -> {format_term(best[2])}")
         choices = follow_ups(best)
-        pick = min(
-            range(len(choices)),
-            key=lambda i: (
-                strat.least_failing_depth(*choices[i])
-                if strat.least_failing_depth(*choices[i]) is not None
-                else INF,
-                i,
-            ),
-        )
+        pick = min(range(len(choices)), key=lambda i: (failing(choices[i]), i))
         lines.append(f"A pick {pick + 1}")
         cur = choices[pick]
     return tuple(lines)
@@ -512,7 +481,7 @@ def extract_attacker_script(
 
 
 class ExactOracle:
-    """Judge handle backed by check_finite_exact; caches per pair."""
+    """Judge handle backed by exact_equivalent; caches per pair."""
 
     def __init__(self, system: PdaSystem, budget: int = 500):
         self.system = system
@@ -523,9 +492,7 @@ class ExactOracle:
     def judge(self, left: Process, right: Process):
         key = (left, right)
         if key not in self._cache:
-            self._cache[key] = check_finite_exact(
-                left, right, self.system, self.budget
-            ).equivalent
+            self._cache[key] = exact_equivalent(left, right, self.system, self.budget)
         return self._cache[key]
 
 
@@ -550,10 +517,6 @@ class StepClass:
     preserving: bool | None  # None means unclassified
     oracle_name: str
 
-    @property
-    def change_of_state(self):
-        return None if self.preserving is None else not self.preserving
-
 
 def classify_silent(parent: Process, child: Process, oracle) -> StepClass:
     """Preserving iff the oracle judges the endpoints equivalent."""
@@ -574,14 +537,6 @@ class Norm:
 
     values: dict
     complete: bool
-
-    @property
-    def def_set(self):
-        return frozenset(self.values)
-
-    @property
-    def min_value(self):
-        return min(self.values.values()) if self.values else None
 
 
 def norm(term: Process, system: PdaSystem, oracle, budget: int = 2000) -> Norm:
@@ -621,54 +576,6 @@ def norm(term: Process, system: PdaSystem, oracle, budget: int = 2000) -> Norm:
                 dist[u] = d + w
                 heapq.heappush(heap, (d + w, next(counter), u))
     return Norm(values, complete)
-
-
-# ---------------------------------------------------------------------------
-# inequivalence semidecider
-# ---------------------------------------------------------------------------
-
-
-def semidecide_inequivalence(
-    left: Process,
-    right: Process,
-    system: PdaSystem,
-    schedule,
-    silent_cap=None,
-    fragment_budget: int = 500,
-) -> Verdict:
-    """Iterative deepening over the bounded relation.
-
-    Only admits the finitely-branching flavors: silent-popping, or
-    silent-pushing with the normed claim.
-    """
-    flags = system.recompute_flavor()
-    if "eps_popping" not in flags and not (
-        "eps_pushing" in flags and "normed_claimed" in system.flavor
-    ):
-        raise SystemError(
-            "semidecision needs the eps-popping flavor or eps-pushing with a normed claim"
-        )
-    checker = None
-    for depth in schedule:
-        if not system.has_silent_head_cycles:
-            lts = joint_fragment(system, left, right, fragment_budget)
-            if lts is not None:
-                strat = FragmentStratification(lts)
-                k = strat.least_failing_depth(left, right)
-                if k is not None and k <= depth:
-                    script = extract_attacker_script(system, lts, strat, left, right)
-                    return Verdict("inequivalent", depth=k, script=script, spent=len(lts))
-                continue
-        if checker is None:
-            checker = BoundedChecker(system, silent_cap=silent_cap)
-        if not checker.rel(left, right, depth):
-            attack = checker.find_attack(left, right, depth)
-            script = ()
-            if attack is not None:
-                side, lab, moved = attack
-                script = (f"A {side} {lab} -> {format_term(moved)}",)
-            return Verdict("inequivalent", depth=depth, script=script, spent=len(checker._memo))
-    return Verdict("unknown", spent=len(checker._memo) if checker else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -204,26 +204,26 @@ class ScriptedStrategy(Strategy):
 
 
 class SolverStrategy(Strategy):
-    """Plays by the bounded game value at a fixed depth."""
+    """Plays by one bounded checker's game value at a fixed depth."""
 
-    def __init__(self, system: PdaSystem, depth: int, silent_cap=None):
-        self.system = system
+    def __init__(self, checker: BoundedChecker, depth: int):
+        self.checker = checker
+        self.system = checker.system
         self.depth = depth
-        self.silent_cap = silent_cap
-        self.checker = BoundedChecker(system, silent_cap=silent_cap)
 
-    def _least_failing(self, config: GameConfig):
+    def value(self, config: GameConfig) -> int:
+        """Least depth at which the pair is apart; depth + 1 if none is."""
         for k in range(self.depth + 1):
             if not self.checker.rel(config.left, config.right, k):
                 return k
-        return None
+        return self.depth + 1
 
     def attack(self, config: GameConfig):
-        k = self._least_failing(config)
+        k = self.value(config)
         atts = legal_attacks(self.system, config)
         if not atts:
             return None
-        if k is None or k == 0:
+        if k == 0 or k > self.depth:
             return atts[0]
         found = self.checker.find_attack(config.left, config.right, k)
         if found is None:
@@ -235,27 +235,14 @@ class SolverStrategy(Strategy):
         if not legal:
             return None
         best, best_val = None, -1
-
-        def value(cfg):
-            for k in range(self.depth + 1):
-                if not self.checker.rel(cfg.left, cfg.right, k):
-                    return k
-            return self.depth + 1
-
         for r in legal:
-            worst = min(value(c) for c in response_choices(config, attack, r))
+            worst = min(self.value(c) for c in response_choices(config, attack, r))
             if worst > best_val:
                 best, best_val = r, worst
         return best
 
     def pick(self, config, attack, response, choices):
-        def value(cfg):
-            for k in range(self.depth + 1):
-                if not self.checker.rel(cfg.left, cfg.right, k):
-                    return k
-            return self.depth + 1
-
-        return min(range(len(choices)), key=lambda i: (value(choices[i]), i))
+        return min(range(len(choices)), key=lambda i: (self.value(choices[i]), i))
 
 
 class CopycatStrategy(Strategy):
@@ -337,8 +324,13 @@ def run_play(
 class SolveResult:
     winner: str  # "attacker" | "defender"
     depth: int
-    variation: tuple  # principal-variation script lines
     spent: int
+    outcome: PlayOutcome | None = None  # the solver's play, on attacker wins
+
+    @property
+    def variation(self) -> tuple:
+        """Principal-variation script lines (empty on defender survival)."""
+        return self.outcome.trace if self.outcome is not None else ()
 
     def format(self) -> str:
         qualifier = "wins" if self.winner == "attacker" else "survives"
@@ -358,19 +350,17 @@ def solve_bounded(
     """Game value at bounded depth.
 
     Attacker wins are genuine distinguishing strategies; defender survival
-    is evidence only (the game characterizes a greatest fixpoint).
+    is evidence only (the game characterizes a greatest fixpoint).  One
+    checker decides the value and plays both roles.
     """
     checker = BoundedChecker(
         system, silent_cap=silent_cap, canon=canon, horizon=horizon
     )
     if checker.rel(start.left, start.right, depth):
-        return SolveResult("defender", depth, (), len(checker._memo))
-    attacker = SolverStrategy(system, depth, silent_cap=silent_cap)
-    attacker.checker = checker
-    defender = SolverStrategy(system, depth, silent_cap=silent_cap)
-    defender.checker = checker
-    outcome = run_play(system, start, attacker, defender, max_rounds=depth + 1, silent_cap=silent_cap)
-    return SolveResult("attacker", depth, outcome.trace, len(checker._memo))
+        return SolveResult("defender", depth, len(checker._memo))
+    solver = SolverStrategy(checker, depth)
+    outcome = run_play(system, start, solver, solver, max_rounds=depth + 1, silent_cap=silent_cap)
+    return SolveResult("attacker", depth, len(checker._memo), outcome)
 
 
 # ---------------------------------------------------------------------------

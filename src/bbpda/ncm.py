@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .equivalence import BoundedChecker, check_bounded, check_finite_exact
+from .equivalence import BoundedChecker, check_bounded, exact_equivalent
 from .game import GameConfig, PlayOutcome, ScriptedStrategy, run_play, solve_bounded
 from .system import EPSILON, PdaSystem, TransitionRule
 from .terms import EMPTY_TUP, Seq, StackWord, format_term, stack_word
@@ -565,13 +565,10 @@ def prop2_suite(
         return output.process(state, counter_word(counters) + (BOT,) + tuple(garbage))
 
     def judge(left, right, allow_bounded):
-        verdict = check_finite_exact(left, right, system, budget=400)
-        if verdict.equivalent is not None:
-            return verdict.equivalent
-        if allow_bounded:
-            verdict = check_bounded(left, right, system, bounded_depth, silent_cap=silent_cap)
-            return verdict.equivalent
-        return None
+        got = exact_equivalent(left, right, system, budget=400)
+        if got is None and allow_bounded:
+            got = check_bounded(left, right, system, bounded_depth, silent_cap=silent_cap)
+        return got
 
     def run(num, instances, allow_bounded=False):
         checked = bad = 0

@@ -9,7 +9,7 @@ distances, silent-head-cycle report) are computed once and cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .terms import (
     NIL,
@@ -28,7 +28,6 @@ from .terms import (
     select,
     standard_cont,
     stack_word,
-    term_key,
     validate_rec_const,
 )
 
@@ -178,20 +177,6 @@ class PdaSystem:
                 raise SystemError(f"unknown symbol {s}")
         return stack_word(self.states, state, word, standard_cont(self.q_count))
 
-    def expand_standard(self, state: str, word) -> Process:
-        """Explicit tuple expansion of ``p alpha`` (no compact nodes)."""
-        word = tuple(word)
-        if state not in self._state_index:
-            raise SystemError(f"unknown state {state}")
-        cont = standard_cont(self.q_count)
-
-        def expand(s: str, rest: tuple) -> Process:
-            if not rest:
-                return Selection(self._state_index[s])
-            return Seq(s, rest[0], Tup(tuple(expand(t, rest[1:]) for t in self.states)))
-
-        return expand(state, word)
-
     # -- one-step semantics ----------------------------------------------
 
     def step(self, term: Process):
@@ -223,9 +208,6 @@ class PdaSystem:
 
     def silent_steps(self, term: Process):
         return tuple((l, t) for l, t in self.step(term) if l == EPSILON)
-
-    def visible_steps(self, term: Process):
-        return tuple((l, t) for l, t in self.step(term) if l != EPSILON)
 
     # -- acceptance --------------------------------------------------------
 
@@ -296,11 +278,6 @@ class PdaSystem:
                         changed = True
         self._pop_distances = dist
         return dist
-
-    def normed_heads(self):
-        """Heads ``(p, X)`` from which the stack symbol can be removed."""
-        dist = self.pop_distances()
-        return sorted({(p, x) for (p, x, _t) in dist})
 
     def constants(self) -> SystemConstants:
         dist = self.pop_distances()
@@ -435,9 +412,6 @@ class FiniteLts:
     def successors(self, term):
         return self.edges[term]
 
-    def diameter_bound(self) -> int:
-        return len(self.edges)
-
     def format(self) -> str:
         lines = [f"nodes {len(self.edges)}"]
         for t in self.order:
@@ -473,18 +447,6 @@ def silent_closure(system: PdaSystem, term: Process, budget: int = 2000):
                 parents[nxt] = (t, nxt)
                 reached.append(nxt)
     return reached, parents, complete
-
-
-def silent_path(parents, target):
-    """Recover the silent chain from the closure root to ``target``."""
-    path = []
-    cur = parents[target]
-    while cur is not None:
-        prev, node = cur
-        path.append(node)
-        cur = parents[prev]
-    path.reverse()
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -774,28 +774,6 @@ def _chain_to(body, j, i):
     return False
 
 
-def enumerate_rec_bodies(system: PdaSystem, n: int, size_cap: int = 1):
-    """All valid recursive-constant bodies with entries up to the size cap."""
-    atoms = [Selection(i) for i in range(1, n + 1)] + [NIL]
-    heads = []
-    if size_cap >= 1:
-        for p in system.states:
-            for x in system.symbols:
-                for sels in itertools.product(range(1, n + 1), repeat=system.q_count):
-                    heads.append(
-                        Seq(p, x, Tup(tuple(Selection(s) for s in sels)))
-                    )
-    options = []
-    for i in range(1, n + 1):
-        opts = [Selection(i), NIL] + [s for s in atoms if isinstance(s, Selection) and s.index != i]
-        opts += heads
-        options.append(opts)
-    for combo in itertools.product(*options):
-        defn = _make_def(_rectify(combo))
-        if not validate_rec_const(defn):
-            yield defn
-
-
 # ---------------------------------------------------------------------------
 # rule application
 # ---------------------------------------------------------------------------
@@ -884,6 +862,10 @@ class BudgetExceeded(Exception):
     pass
 
 
+class UnsupportedFlavor(ValueError):
+    """The search reached a subtableau its flavor has no construction for."""
+
+
 def _as_seq(term):
     if isinstance(term, StackWord):
         return expand_stack_word(term)
@@ -906,7 +888,7 @@ def build_subtableau(
     node's evidence.
     """
     if flavor not in ("eps-popping", "eps-pushing-normed"):
-        raise ValueError(f"unknown flavor {flavor}")
+        raise UnsupportedFlavor(f"no subtableau construction for flavor {flavor}")
     state = {"nodes": 0}
 
     def bump():

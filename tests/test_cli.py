@@ -2,9 +2,10 @@
 
 import pytest
 
+from corpus import random_pushing_system
 from bbpda.cli import main
 from bbpda.ncm import parse_machine
-from bbpda.system import parse_system
+from bbpda.system import format_system, parse_system
 
 POP = """
 states p q
@@ -36,6 +37,31 @@ rule p X a -> p X X
 
 MACHINE = "1: inc c1 goto 2\n2: halt\n"
 
+# attacker-win play of pushing corpus system 250 at depth 8, as DOT
+PUSH250_PLAY_DOT = """digraph play {
+  rankdir=TB;
+  n0 [label="config s1 X1 X0 | s0 X1 X1", shape=box];
+  n1 [label="A left a -> s1 X0 (1, 2)", shape=ellipse];
+  n0 -> n1;
+  n2 [label="D eps* a -> s1 X1 X1", shape=ellipse];
+  n1 -> n2;
+  n3 [label="A pick 1", shape=ellipse];
+  n2 -> n3;
+  n4 [label="config s1 X0 (1, 2) | s1 X1 X1", shape=box];
+  n3 -> n4;
+  n5 [label="A left b -> 2", shape=ellipse];
+  n4 -> n5;
+  n6 [label="D eps* b -> s1 X1 X0 X1", shape=ellipse];
+  n5 -> n6;
+  n7 [label="config 2 | s1 X1 X0 X1", shape=box];
+  n6 -> n7;
+  n8 [label="A stuck selection-mismatch", shape=ellipse];
+  n7 -> n8;
+  outcome [label="winner: attacker", shape=diamond];
+  n8 -> outcome;
+}
+"""
+
 
 @pytest.fixture()
 def pop_file(tmp_path):
@@ -48,6 +74,12 @@ def pop_file(tmp_path):
 def ab_file(tmp_path):
     path = tmp_path / "ab.sys"
     path.write_text(AB)
+    return str(path)
+
+
+def pushing_file(tmp_path, seed):
+    path = tmp_path / f"push{seed}.sys"
+    path.write_text(format_system(random_pushing_system(seed)))
     return str(path)
 
 
@@ -207,3 +239,47 @@ def test_reduction_check_halting_machine(tmp_path, capsys):
     )
     assert code == 1
     assert "attacker wins at depth" in capsys.readouterr().out
+
+
+def test_model_error_exit_64(tmp_path, capsys):
+    path = tmp_path / "dup.sys"
+    path.write_text("states p p\nsymbols X\nactions a\nrule p X a -> p\n")
+    assert main(["check", str(path), "p X (1)", "p X (1)"]) == 64
+    assert "error: duplicate state names" in capsys.readouterr().err
+
+
+def test_game_without_required_silent_cap_exit_64(tmp_path, capsys):
+    path = tmp_path / "cyclic.sys"
+    path.write_text(
+        "states p\nsymbols X\nactions a\nrule p X eps -> p X\nrule p X a -> p\n"
+    )
+    assert main(["game", str(path), "p X (1)", "p X (1)"]) == 64
+    assert "silent cap" in capsys.readouterr().err
+
+
+def test_game_recursion_limit_exit_two(tmp_path, capsys):
+    path = tmp_path / "loop.sys"
+    path.write_text(
+        "states p q\nsymbols X\nactions a\nrule p X a -> p X\nrule q X a -> q X\n"
+    )
+    code = main(["game", str(path), "p X (1, 1)", "q X (1, 1)", "--depth", "300"])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out.startswith("unknown") and "recursion limit" in out
+
+
+def test_tableau_pushing_subtableau_unknown(tmp_path, capsys):
+    path = pushing_file(tmp_path, 76)
+    code = main(["tableau", path, "s0 X0 X1 (1, 1)", "s1 X1 (1, 2)"])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out.startswith("unknown") and "eps-pushing" in out
+
+
+def test_game_dot_renders_solver_play(tmp_path, capsys):
+    path = pushing_file(tmp_path, 250)
+    code = main(
+        ["game", path, "s1 X1 X0", "s0 X1 X1", "--depth", "8", "--format", "dot"]
+    )
+    assert code == 1
+    assert capsys.readouterr().out == PUSH250_PLAY_DOT

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from corpus import random_popping_system, sample_pairs, silent_chains
+from corpus import random_popping_system, random_pushing_system, sample_pairs, silent_chains
 from bbpda.equivalence import (
     BoundedChecker,
     BoundedOracle,
@@ -15,6 +15,7 @@ from bbpda.equivalence import (
     check_bounded,
     check_finite_exact,
     classify_silent,
+    exact_equivalent,
     joint_fragment,
     norm,
 )
@@ -223,3 +224,13 @@ rule p X a -> p
     result = norm(t, system, ExactOracle(system))
     assert result.complete
     assert result.values  # index 1 is reachable by norm-relevant steps
+
+
+def test_exact_judgement_agrees_with_verdict_kind():
+    expected = {"equivalent": True, "inequivalent": False, "unknown": None}
+    for seed in range(20):
+        for make in (random_popping_system, random_pushing_system):
+            system = make(seed)
+            for left, right in sample_pairs(seed, system, 5):
+                kind = check_finite_exact(left, right, system).kind
+                assert exact_equivalent(left, right, system) is expected[kind]

@@ -3,7 +3,7 @@
 import pytest
 
 from corpus import random_popping_system, sample_pairs
-from bbpda.equivalence import check_finite_exact, joint_fragment
+from bbpda.equivalence import BoundedChecker, check_finite_exact, joint_fragment
 from bbpda.game import (
     Attack,
     CopycatStrategy,
@@ -60,7 +60,7 @@ def test_defender_has_no_answer_to_fresh_label(ab):
 def test_copycat_survives_on_identical_pair(ab):
     c = config(ab, "q X (1, 1)", "q X (1, 1)")
     outcome = run_play(
-        ab, c, SolverStrategy(ab, 4), CopycatStrategy(ab), max_rounds=4
+        ab, c, SolverStrategy(BoundedChecker(ab), 4), CopycatStrategy(ab), max_rounds=4
     )
     assert outcome.winner != "attacker"
 
@@ -128,10 +128,12 @@ def test_play_trace_and_dot(ab):
     c = config(ab, "p X (1, 1)", "q X (1, 1)")
     result = solve_bounded(c, ab, depth=4)
     assert result.winner == "attacker" and result.variation
-    attacker = SolverStrategy(ab, 4)
-    outcome = run_play(ab, c, attacker, SolverStrategy(ab, 4), max_rounds=5)
+    solver = SolverStrategy(BoundedChecker(ab), 4)
+    outcome = run_play(ab, c, solver, solver, max_rounds=5)
     dot = play_dot(outcome)
     assert dot.startswith("digraph") and "winner" in dot
+    # the solver's own play is the one it reports
+    assert result.outcome.trace == outcome.trace == result.variation
 
 
 def test_attack_format(ab):

@@ -131,3 +131,14 @@ def test_lemma12_reset_states_stay_equivalent(compiled):
     results = lemma12_spotcheck(compiled, e=1, o="+", j=2, steps=4, depth=2)
     assert results
     assert all(holds for _term, holds in results)
+
+
+def test_prop2_bounded_fallback_when_fragments_do_not_close(compiled, monkeypatch):
+    # with no exact judgement, laws 2-4 fall back to the bounded relation and
+    # the others stay unknown
+    monkeypatch.setattr("bbpda.ncm.exact_equivalent", lambda *args, **kwargs: None)
+    report = prop2_suite(compiled, max_counter=1)
+    laws = {u.split(")", 1)[0].lstrip("(") for u in report.unknown}
+    assert laws == {"1", "5", "6", "7"}
+    assert not report.violations
+    assert sorted(report.statements) == [1, 2, 3, 4, 5, 6, 7]
