@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .equivalence import ExactOracle, check_bounded, check_finite_exact
+from .equivalence import BoundedChecker, ExactOracle, bounded_relation
+from .equivalence import check_finite_exact, least_failing
 from .game import (
     GameConfig,
     ScriptError,
@@ -100,12 +101,11 @@ def cmd_check(args) -> int:
         verdict.kind, EX_UNKNOWN
     )
     if verdict.kind == "unknown" and args.depth_schedule:
+        related = bounded_relation(left, right, system, args.silent_cap)
+        failing = least_failing(related, left, right, args.depth_schedule)
         for depth in args.depth_schedule:
-            related = check_bounded(
-                left, right, system, depth, silent_cap=args.silent_cap
-            )
-            lines.append(f"bounded depth {depth}: {'related' if related else 'apart'}")
-            if not related:
+            lines.append(f"bounded depth {depth}: {'apart' if depth == failing else 'related'}")
+            if depth == failing:
                 code = EX_INEQUIVALENT
                 break
         else:
@@ -164,7 +164,7 @@ def cmd_game(args) -> int:
         text = play_dot(outcome) if args.format == "dot" else outcome.format()
         _emit(text, args.output)
         return EX_EQUIVALENT if outcome.winner != "attacker" else EX_INEQUIVALENT
-    result = solve_bounded(start, system, args.depth, silent_cap=args.silent_cap)
+    result = solve_bounded(start, BoundedChecker(system, silent_cap=args.silent_cap), args.depth)
     if args.format == "dot" and result.outcome is not None:
         _emit(play_dot(result.outcome), args.output)
     else:

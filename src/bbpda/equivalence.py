@@ -26,6 +26,7 @@ from .terms import (
 )
 
 INF = math.inf
+CLOSURE_BUDGET = 4096  # silent-closure nodes per answer search, checker and game alike
 
 
 def _selection_compatible(left: Process, right: Process) -> bool:
@@ -198,26 +199,22 @@ class FragmentStratification:
 class BoundedChecker:
     """Memoized depth-k checker over the raw transition semantics.
 
-    ``silent_cap`` bounds the length of silent answer chains; it is
-    required on systems with silent head cycles (where silent closures may
-    be infinite) and the verdict is then relative to the cap.
+    ``silent_cap`` N bounds an answer chain to at most N steps, counting the
+    answering step (so at most N - 1 silent steps before it), exactly as
+    ``game.legal_defender_responses`` does.  It is required on systems with
+    silent head cycles (where silent closures may be infinite) and the
+    verdict is then relative to the cap.  The memo holds, per pair, the
+    deepest depth proven and the shallowest refuted, so one checker serves
+    a whole depth schedule.
     """
 
-    def __init__(
-        self,
-        system: PdaSystem,
-        silent_cap=None,
-        closure_budget: int = 4096,
-        canon=None,
-        horizon: bool = False,
-    ):
+    def __init__(self, system: PdaSystem, silent_cap=None, canon=None, horizon: bool = False):
         if system.has_silent_head_cycles and silent_cap is None:
             raise SystemError(
                 "system has silent head cycles; bounded checking needs an explicit silent cap"
             )
         self.system = system
         self.silent_cap = silent_cap
-        self.closure_budget = closure_budget
         # optional idempotent quotient map; must identify only strongly
         # bisimilar terms (e.g. dropping stack content below a symbol no
         # rule ever removes)
@@ -296,7 +293,7 @@ class BoundedChecker:
                     lab == EPSILON
                     and v not in seen
                     and (self.silent_cap is None or d + 1 < self.silent_cap)
-                    and len(seen) < self.closure_budget
+                    and len(seen) < CLOSURE_BUDGET
                     and self.rel(stay, v, depth - 1)
                 ):
                     seen.add(v)
@@ -359,28 +356,32 @@ def check_finite_exact(
     return Verdict("inequivalent", depth=depth, script=script, spent=len(lts))
 
 
+def least_failing(related, left: Process, right: Process, depths):
+    """First of the increasing ``depths`` at which ``related(left, right,
+    depth)`` fails, or None; the one iterative-deepening loop."""
+    for depth in depths:
+        if not related(left, right, depth):
+            return depth
+    return None
+
+
+def bounded_relation(left: Process, right: Process, system: PdaSystem, silent_cap):
+    """One depth-indexed engine for the pair, reusable across depths:
+    the closed joint fragment's stratification, else a BoundedChecker."""
+    if not system.has_silent_head_cycles:
+        lts = joint_fragment(system, left, right)
+        if lts is not None:
+            return FragmentStratification(lts).related
+    return BoundedChecker(system, silent_cap=silent_cap).rel
+
+
 def check_bounded(
-    left: Process,
-    right: Process,
-    system: PdaSystem,
-    depth: int,
-    silent_cap=None,
-    fragment_budget: int = 500,
-    canon=None,
-    horizon: bool = False,
+    left: Process, right: Process, system: PdaSystem, depth: int, silent_cap=None
 ) -> bool:
     """Whether the pair is related at the given stratification depth."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if canon is None and not system.has_silent_head_cycles:
-        lts = joint_fragment(system, left, right, fragment_budget)
-        if lts is not None:
-            return FragmentStratification(lts).related(left, right, depth)
-    return BoundedChecker(
-        system, silent_cap=silent_cap, canon=canon, horizon=horizon
-    ).rel(
-        left, right, depth
-    )
+    return bounded_relation(left, right, system, silent_cap)(left, right, depth)
 
 
 # ---------------------------------------------------------------------------

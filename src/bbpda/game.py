@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equivalence import BoundedChecker, _selection_compatible
+from .equivalence import CLOSURE_BUDGET, BoundedChecker, _selection_compatible, least_failing
 from .system import EPSILON, PdaSystem, SystemError
 from .terms import Process, format_term, term_key
 
@@ -78,17 +78,14 @@ def legal_attacks(system: PdaSystem, config: GameConfig):
 
 
 def legal_defender_responses(
-    system: PdaSystem,
-    config: GameConfig,
-    attack: Attack,
-    silent_cap=None,
-    closure_budget: int = 2048,
+    system: PdaSystem, config: GameConfig, attack: Attack, silent_cap=None
 ):
     """Materialized defender responses to an attack.
 
     Chains are represented by their shortest silent prefix to each closure
-    node (one canonical chain per (node, final) pair); ``silent_cap`` bounds
-    the prefix length and is required on silent-head-cyclic systems.
+    node (one canonical chain per (node, final) pair).  ``silent_cap`` N
+    bounds a chain to at most N steps counting the answering step, as in
+    ``BoundedChecker``; it is required on silent-head-cyclic systems.
     """
     if silent_cap is None and system.has_silent_head_cycles:
         raise SystemError("response enumeration needs a silent cap on this system")
@@ -107,8 +104,8 @@ def legal_defender_responses(
             if (
                 lab == EPSILON
                 and v not in paths
-                and (silent_cap is None or len(path) + 1 <= silent_cap)
-                and len(paths) < closure_budget
+                and (silent_cap is None or len(path) + 1 < silent_cap)
+                and len(paths) < CLOSURE_BUDGET
             ):
                 paths[v] = path + (v,)
                 queue.append(v)
@@ -213,10 +210,8 @@ class SolverStrategy(Strategy):
 
     def value(self, config: GameConfig) -> int:
         """Least depth at which the pair is apart; depth + 1 if none is."""
-        for k in range(self.depth + 1):
-            if not self.checker.rel(config.left, config.right, k):
-                return k
-        return self.depth + 1
+        k = least_failing(self.checker.rel, config.left, config.right, range(self.depth + 1))
+        return self.depth + 1 if k is None else k
 
     def attack(self, config: GameConfig):
         k = self.value(config)
@@ -339,28 +334,41 @@ class SolveResult:
         return "\n".join(lines)
 
 
-def solve_bounded(
-    start: GameConfig,
-    system: PdaSystem,
-    depth: int,
-    silent_cap=None,
-    canon=None,
-    horizon: bool = False,
-) -> SolveResult:
-    """Game value at bounded depth.
+def solve_bounded(start: GameConfig, checker: BoundedChecker, depth: int) -> SolveResult:
+    """Game value at bounded depth, by the given checker.
 
     Attacker wins are genuine distinguishing strategies; defender survival
-    is evidence only (the game characterizes a greatest fixpoint).  One
-    checker decides the value and plays both roles.
+    is evidence only (the game characterizes a greatest fixpoint).  The
+    checker decides the value and plays both roles; its memo carries over
+    to later calls at other depths.
     """
-    checker = BoundedChecker(
-        system, silent_cap=silent_cap, canon=canon, horizon=horizon
-    )
     if checker.rel(start.left, start.right, depth):
         return SolveResult("defender", depth, len(checker._memo))
     solver = SolverStrategy(checker, depth)
-    outcome = run_play(system, start, solver, solver, max_rounds=depth + 1, silent_cap=silent_cap)
+    outcome = run_play(
+        checker.system, start, solver, solver, max_rounds=depth + 1, silent_cap=checker.silent_cap
+    )
     return SolveResult("attacker", depth, len(checker._memo), outcome)
+
+
+def survives_round(checker: BoundedChecker, start: GameConfig, depth: int) -> bool:
+    """The depth-``depth`` verdict at ``start``, unfolded one round.
+
+    Every legal attack needs a legal response whose follow-ups the checker
+    relates at depth - 1.  The moves come from this module's enumeration,
+    not the checker's, so this cross-checks ``checker.rel`` at the root.
+    """
+    compatible = _selection_compatible(start.left, start.right)
+    if depth <= 0 or not compatible:
+        return compatible
+    system, cap = checker.system, checker.silent_cap
+    return all(
+        any(
+            all(checker.rel(c.left, c.right, depth - 1) for c in response_choices(start, a, r))
+            for r in legal_defender_responses(system, start, a, cap)
+        )
+        for a in legal_attacks(system, start)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .equivalence import BoundedChecker, check_bounded, exact_equivalent
-from .game import GameConfig, PlayOutcome, ScriptedStrategy, run_play, solve_bounded
+from .equivalence import BoundedChecker, check_bounded, exact_equivalent, least_failing
+from .game import GameConfig, PlayOutcome, ScriptedStrategy, run_play, solve_bounded, survives_round
 from .system import EPSILON, PdaSystem, TransitionRule
 from .terms import EMPTY_TUP, Seq, StackWord, format_term, stack_word
 
@@ -880,33 +880,23 @@ def bounded_reduction_check(
     output = compile_reduction(lifted)
     report = ReductionCheckReport(machine)
     root = output.root_pair
-    canon = garbage_collapse(output)
+    checker = BoundedChecker(
+        output.system, silent_cap=silent_cap, canon=garbage_collapse(output), horizon=True
+    )
+    failing = least_failing(checker.rel, root.left, root.right, schedule)
     for depth in schedule:
-        result = solve_bounded(
-            root,
-            output.system,
-            depth,
-            silent_cap=silent_cap,
-            canon=canon,
-            horizon=True,
-        )
-        cross = check_bounded(
-            root.left,
-            root.right,
-            output.system,
-            depth,
-            silent_cap=silent_cap,
-            canon=canon,
-            horizon=True,
-        )
-        agree = (result.winner == "attacker") == (cross is False)
+        attacked = depth == failing
+        # independent of the checker's own answer search: one game round
+        # unfolded from the root, and at the attacking depth the replayed play
+        agree = survives_round(checker, root, depth) != attacked
+        if attacked:
+            agree = agree and solve_bounded(root, checker, depth).outcome.winner == "attacker"
         verdict = (
-            f"{result.winner} "
-            f"({'attack found' if result.winner == 'attacker' else 'survives'}, "
+            f"{'attacker (attack found' if attacked else 'defender (survives'}, "
             f"cross-check {'agrees' if agree else 'DISAGREES'})"
         )
         report.entries.append((depth, verdict))
-        if result.winner == "attacker":
+        if attacked:
             report.attacker_win_depth = depth
             break
     return report

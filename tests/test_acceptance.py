@@ -19,6 +19,7 @@ from corpus import (
     silent_chains,
 )
 from bbpda.equivalence import (
+    BoundedChecker,
     ExactOracle,
     check_bounded,
     check_chain_bound,
@@ -76,7 +77,7 @@ def test_criterion_01_oracle_agreement():
             exact = check_finite_exact(left, right, system).kind == "equivalent"
             bounded = check_bounded(left, right, system, depth)
             game = (
-                solve_bounded(GameConfig(left, right), system, depth).winner
+                solve_bounded(GameConfig(left, right), BoundedChecker(system), depth).winner
                 == "defender"
             )
             if not (exact == bounded == game):

@@ -108,7 +108,7 @@ def test_check_unknown_exit_two(tmp_path, capsys):
     assert code == 2
 
 
-def test_check_bounded_schedule_refutes(tmp_path):
+def test_check_bounded_schedule_refutes(tmp_path, capsys):
     path = tmp_path / "grow2.sys"
     path.write_text(
         """
@@ -125,6 +125,8 @@ rule q X b -> q
          "--depth-schedule", "1,2"]
     )
     assert code == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["verdict unknown", "explored 10", "bounded depth 1: apart"]
 
 
 def test_usage_error_exit_64(pop_file):
@@ -283,3 +285,24 @@ def test_game_dot_renders_solver_play(tmp_path, capsys):
     )
     assert code == 1
     assert capsys.readouterr().out == PUSH250_PLAY_DOT
+
+
+# the answer to p's a-move needs one silent step before q's a-step
+SILENT_ANSWER = """
+states p q
+symbols X Y
+actions a
+rule p X a -> p
+rule q X eps -> q Y
+rule q Y a -> q
+"""
+
+
+def test_game_silent_cap_counts_answering_step(tmp_path, capsys):
+    path = tmp_path / "silent.sys"
+    path.write_text(SILENT_ANSWER)
+    argv = ["game", str(path), "p X (1, 1)", "q X (1, 1)", "--depth", "1", "--silent-cap"]
+    assert main(argv + ["1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "D stuck"
+    assert main(argv + ["2"]) == 2
+    assert capsys.readouterr().out.startswith("defender survives")

@@ -18,6 +18,7 @@ from bbpda.game import (
     play_dot,
     run_play,
     solve_bounded,
+    survives_round,
 )
 from bbpda.system import parse_system, parse_term
 
@@ -67,7 +68,7 @@ def test_copycat_survives_on_identical_pair(ab):
 
 def test_solver_attacker_wins_on_inequivalent_pair(ab):
     c = config(ab, "p X (1, 1)", "q X (1, 1)")
-    result = solve_bounded(c, ab, depth=4)
+    result = solve_bounded(c, BoundedChecker(ab), depth=4)
     assert result.winner == "attacker"
 
 
@@ -79,7 +80,7 @@ def test_solver_matches_exact_verdicts_on_corpus():
             if lts is None:
                 continue
             verdict = check_finite_exact(left, right, system)
-            result = solve_bounded(GameConfig(left, right), system, len(lts))
+            result = solve_bounded(GameConfig(left, right), BoundedChecker(system), len(lts))
             assert (verdict.kind == "equivalent") == (result.winner == "defender")
 
 
@@ -126,7 +127,7 @@ def test_script_exhaustion_reported(ab):
 
 def test_play_trace_and_dot(ab):
     c = config(ab, "p X (1, 1)", "q X (1, 1)")
-    result = solve_bounded(c, ab, depth=4)
+    result = solve_bounded(c, BoundedChecker(ab), depth=4)
     assert result.winner == "attacker" and result.variation
     solver = SolverStrategy(BoundedChecker(ab), 4)
     outcome = run_play(ab, c, solver, solver, max_rounds=5)
@@ -155,5 +156,28 @@ rule p X a -> p
     )
     c = GameConfig(parse_term("p X (1)", cyclic), parse_term("p X (1)", cyclic))
     # with a cap the play is well-defined
-    result = solve_bounded(c, cyclic, depth=2, silent_cap=4)
+    result = solve_bounded(c, BoundedChecker(cyclic, silent_cap=4), depth=2)
     assert result.winner in ("attacker", "defender")
+
+
+def test_one_round_unfolding_agrees_with_checker_on_corpus():
+    for seed in range(10):
+        system = random_popping_system(seed)
+        checker = BoundedChecker(system)
+        for left, right in sample_pairs(seed, system, 5):
+            start = GameConfig(left, right)
+            for depth in range(4):
+                assert survives_round(checker, start, depth) == checker.rel(left, right, depth)
+
+
+def test_one_round_unfolding_can_disagree(monkeypatch):
+    # only the left side has an a-move, so the game's unfolding refutes
+    system = parse_system("states p q\nsymbols X\nactions a\nrule p X a -> p\n")
+    start = config(system, "p X (1, 1)", "q X (1, 1)")
+    checker = BoundedChecker(system)
+    assert survives_round(checker, start, 1) is False
+    # a checker that wrongly answers every move is caught by the unfolding
+    monkeypatch.setattr(BoundedChecker, "_answers", lambda *args: True)
+    broken = BoundedChecker(system)
+    assert broken.rel(start.left, start.right, 1) is True
+    assert survives_round(broken, start, 1) is False

@@ -2,6 +2,9 @@
 
 import pytest
 
+import bbpda.equivalence
+import bbpda.ncm
+from bbpda.equivalence import BoundedChecker
 from bbpda.ncm import (
     Branch,
     CounterConfig,
@@ -11,6 +14,7 @@ from bbpda.ncm import (
     Inc,
     MachineError,
     Star,
+    bounded_reduction_check,
     compile_reduction,
     counter_word,
     decode_config,
@@ -142,3 +146,23 @@ def test_prop2_bounded_fallback_when_fragments_do_not_close(compiled, monkeypatc
     assert laws == {"1", "5", "6", "7"}
     assert not report.violations
     assert sorted(report.statements) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_reduction_check_builds_one_checker(monkeypatch):
+    built = []
+    init = BoundedChecker.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_bounded re-run")
+
+    monkeypatch.setattr(BoundedChecker, "__init__", counting_init)
+    monkeypatch.setattr(bbpda.ncm, "check_bounded", forbidden)
+    monkeypatch.setattr(bbpda.equivalence, "check_bounded", forbidden)
+    report = bounded_reduction_check(parse_machine("1: halt\n"), schedule=(2, 4, 6))
+    assert len(built) == 1
+    assert report.attacker_win_depth == 6
+    assert report.entries[-1] == (6, "attacker (attack found, cross-check agrees)")
