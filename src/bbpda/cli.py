@@ -128,12 +128,7 @@ def cmd_tableau(args) -> int:
     oracle = ExactOracle(system, budget=args.budget)
     try:
         root, stats = search_tableau(
-            Goal(left, right),
-            flavor,
-            system,
-            oracle,
-            node_cap=args.node_cap,
-            rec_size_cap=args.rec_size_cap,
+            Goal(left, right), flavor, system, oracle, node_cap=args.node_cap
         )
     except UnsupportedFlavor as exc:
         _emit(f"unknown ({exc})", args.output)
@@ -250,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=("eps-popping", "eps-pushing"), default=None)
     p.add_argument("--budget", type=_positive, default=500)
     p.add_argument("--node-cap", type=_positive, default=4000)
-    p.add_argument("--rec-size-cap", type=_positive, default=1)
     p.add_argument("--format", choices=("text", "dot"), default="text")
     common(p)
     p.set_defaults(func=cmd_tableau)

@@ -366,9 +366,10 @@ def least_failing(related, left: Process, right: Process, depths):
 
 
 def bounded_relation(left: Process, right: Process, system: PdaSystem, silent_cap):
-    """One depth-indexed engine for the pair, reusable across depths:
-    the closed joint fragment's stratification, else a BoundedChecker."""
-    if not system.has_silent_head_cycles:
+    """One depth-indexed engine for the pair, reusable across depths: the
+    closed joint fragment's stratification when no silent cap is given,
+    else a BoundedChecker (which applies the cap)."""
+    if silent_cap is None and not system.has_silent_head_cycles:
         lts = joint_fragment(system, left, right)
         if lts is not None:
             return FragmentStratification(lts).related

@@ -1,11 +1,14 @@
-"""Tableau proof systems for the two decidable flavors.
+"""Tableau proof system for branching bisimilarity of pushdown terms.
 
-The silent-popping system uses rules Rdcp/Ldcp/Cancel/Match; the
-silent-pushing normed system uses Decmp/Cancel/Match.  Subtableaux follow
-the respective construction strategies; tableaux glue subtableaux with
-Match applications and close repetitions through potentially-successful
-back edges.  Side conditions that depend on the undecidable equivalence
-are discharged by a depth-parameterized oracle and recorded as evidence.
+Goals of bounded height close by Match, whose children are the equalities
+answering every transition of either side.  Taller goals of the
+silent-popping flavor first go through a subtableau of Rdcp/Ldcp/Cancel
+applications; its pending leaves are closed by Match in turn.  No other
+flavor has a subtableau construction: a silent-pushing search closes by
+Match alone and stops with UnsupportedFlavor when a goal is too tall.
+Repetitions close through potentially-successful back edges.  Side
+conditions that depend on the undecidable equivalence are discharged by an
+oracle and recorded as evidence.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .equivalence import FragmentStratification, _selection_compatible, joint_fragment
 from .system import EPSILON, PdaSystem
 from .terms import (
     NIL,
@@ -59,9 +63,9 @@ class Goal:
 @dataclass
 class TableauNode:
     goal: Goal
-    rule: str | None = None  # Rdcp, Ldcp, Cancel, Decmp, Match, Brute, Leaf
+    rule: str | None = None  # Rdcp, Ldcp, Cancel, Match or Brute; None on a leaf
     children: list = field(default_factory=list)
-    leaf_status: str | None = None  # successful | unsuccessful | potential | pending
+    leaf_status: str | None = None  # successful | potential (back edge) | pending
     evidence: tuple = ()
     back_edge: Goal | None = None
 
@@ -91,10 +95,7 @@ def strip_suffix(term, const: Constant):
     """
     if isinstance(term, Nil):
         return NIL
-    if isinstance(const, Tup):
-        arity = const.arity
-    else:
-        arity = const.arity
+    arity = const.arity
     # selection base cases
     for k in range(1, arity + 1):
         if select(k, const) == term:
@@ -175,9 +176,13 @@ def compute_match(
 
     Every transition of either side is paired with one chosen response; an
     oracle, when supplied, prefers responses whose generated equalities it
-    certifies.  Raises SideConditionError("no match within cap") when the
-    chain budget runs out before any response is found.
+    certifies.  A goal whose sides break the selection clause (one side is
+    a selection and the other is not the same one) has no match.  Raises
+    SideConditionError("no match within cap") when the chain budget runs out
+    before any response is found.
     """
+    if not _selection_compatible(goal.left, goal.right):
+        return None
     if silent_cap is None and system.has_silent_head_cycles:
         silent_cap = system.nq
     pairs = set()
@@ -329,14 +334,8 @@ def normal_unfolding(defn: RecConstDef, system: PdaSystem, oracle, budget: int =
 def _normal_pop(system, term, oracle, budget):
     """A preserving-silent-irreducible representative of the term."""
     closure, _, _ = preserving_closure(system, term, oracle, budget)
-    irreducible = []
-    for t in closure:
-        if not any(oracle.judge(t, u) for lab, u in system.silent_steps(t)):
-            irreducible.append(t)
-    if not irreducible:
-        return None
     for t in closure:  # BFS order: prefer the earliest irreducible
-        if t in irreducible:
+        if not any(oracle.judge(t, u) for lab, u in system.silent_steps(t)):
             return t
     return None
 
@@ -553,23 +552,17 @@ def decompose_left(goal: Goal, system: PdaSystem, residual: Constant, oracle):
 
 
 def _mirror_step(system, R, label, target, oracle):
-    """Right side's oracle-certified answer to one j-step, or None."""
-    seen = {R: ()}
-    queue = [R]
+    """Right side's answer to one j-step from its preserving closure: the
+    first oracle-certified one, else the first one, else None."""
+    closure, _, _ = preserving_closure(system, R, oracle)
     fallback = None
-    while queue:
-        u = queue.pop(0)
+    for u in closure:
         for lab, v in system.step(u):
             if lab == label:
-                verdict = oracle.judge(target, v)
-                if verdict:
+                if oracle.judge(target, v):
                     return v
                 if fallback is None:
                     fallback = v
-            if lab == EPSILON and v not in seen and len(seen) < 512:
-                if oracle.judge(u, v):
-                    seen[v] = seen[u] + (v,)
-                    queue.append(v)
     return fallback
 
 
@@ -586,9 +579,6 @@ class FixpointCandidate:
     @property
     def body(self):
         return self.defn.body
-
-
-_fresh_names = itertools.count(1)
 
 
 def _make_def(body) -> RecConstDef:
@@ -664,8 +654,6 @@ def _mismatch_refinements(P, Q, defn, system, oracle, max_descent: int = 64):
     Descends the refutation until one side is a captured index, reads off
     the other side's stripped shape, and applies the two rewiring cases.
     """
-    from .equivalence import FragmentStratification, joint_fragment
-
     V = RecConst(defn)
     body = defn.body
     n = defn.arity
@@ -775,85 +763,6 @@ def _chain_to(body, j, i):
 
 
 # ---------------------------------------------------------------------------
-# rule application
-# ---------------------------------------------------------------------------
-
-
-def apply_rule(goal: Goal, rule: str, params, system: PdaSystem, oracle):
-    """Child goals of one rule instance, with side-condition evidence.
-
-    params: Rdcp -> RightDecomposition; Ldcp -> (RightDecomposition used
-    upstream, LeftDecomposition); Cancel -> (suffix constant, RecConstDef);
-    Decmp -> (suffix constant, LeftDecomposition); Match -> optional
-    precomputed match set.
-    """
-    m = system.constants().m_bound
-    if rule == "Rdcp":
-        dec: RightDecomposition = params
-        if m is not INF and term_height(dec.prefix) > int(m):
-            raise SideConditionError("prefix exceeds the pop-bound height")
-        right = goal.right
-        if isinstance(right, StackWord):
-            right = expand_stack_word(right)
-        new_right = Seq(right.state, right.symbol, compose(dec.prefix, dec.residual))
-        children = list(dec.aux) + [Goal(goal.left, new_right)]
-        return children, dec.evidence
-    if rule == "Ldcp":
-        dec, residual = params
-        left = goal.left
-        if isinstance(left, StackWord):
-            left = expand_stack_word(left)
-        if m is not INF:
-            bound = system.r_max * int(m) + 1
-            if term_size(dec.prefix) > bound * system.q_count:
-                raise SideConditionError("left prefix exceeds the size bound")
-        return list(dec.subgoals) + [
-            Goal(Seq(left.state, left.symbol, compose(dec.prefix, residual)), goal.right)
-        ], dec.evidence
-    if rule in ("Cancel",):
-        suffix, defn = params
-        bad = validate_rec_const(defn)
-        if bad:
-            raise SideConditionError("; ".join(bad))
-        ls = strip_suffix(goal.left, suffix)
-        rs = strip_suffix(goal.right, suffix)
-        if ls is None or rs is None:
-            raise SideConditionError("goal sides do not share the suffix")
-        V = RecConst(defn)
-        children = [
-            Goal(compose(defn.body[i - 1], suffix), select(i, suffix))
-            for i in range(1, defn.arity + 1)
-        ]
-        children.append(Goal(compose(ls, V), compose(rs, V)))
-        return children, (f"constant {defn.name}",)
-    if rule == "Decmp":
-        suffix, dec = params
-        rs = strip_suffix(goal.right, suffix)
-        if rs is None:
-            raise SideConditionError("right side does not carry the suffix")
-        if m is not INF and term_height(rs) > int(m) + 1:
-            raise SideConditionError("kept part exceeds the pop bound")
-        left = goal.left
-        if isinstance(left, StackWord):
-            left = expand_stack_word(left)
-        children = list(dec.subgoals)
-        children.append(
-            Goal(Seq(left.state, left.symbol, compose(dec.prefix, suffix)), goal.right)
-        )
-        return children, dec.evidence
-    if rule == "Match":
-        match = params
-        if match is None:
-            match = compute_match(goal, system, oracle)
-        if match is None:
-            raise SideConditionError("no match")
-        return sorted(match, key=lambda g: (term_key(g.left), term_key(g.right))), (
-            f"match size {len(match)}",
-        )
-    raise ValueError(f"unknown rule {rule}")
-
-
-# ---------------------------------------------------------------------------
 # subtableau construction
 # ---------------------------------------------------------------------------
 
@@ -872,22 +781,15 @@ def _as_seq(term):
     return term
 
 
-def build_subtableau(
-    goal: Goal,
-    flavor: str,
-    system: PdaSystem,
-    oracle,
-    budget: int = 200,
-    candidate_provider=None,
-):
-    """One subtableau per the flavor's construction strategy.
+def build_subtableau(goal: Goal, flavor: str, system: PdaSystem, oracle, budget: int = 200):
+    """One silent-popping subtableau: Rdcp, then Ldcp, then Cancel.
 
-    Leaves are marked successful, unsuccessful, or pending (pending leaves
-    are where the enclosing tableau applies Match).  Budget exhaustion or a
-    failed side condition falls back to a pending leaf, flagged in the
-    node's evidence.
+    Leaves are marked successful or pending (pending leaves are where the
+    enclosing tableau applies Match).  Budget exhaustion or a failed side
+    condition falls back to a pending leaf, flagged in the node's evidence.
+    Any other flavor raises UnsupportedFlavor.
     """
-    if flavor not in ("eps-popping", "eps-pushing-normed"):
+    if flavor != "eps-popping":
         raise UnsupportedFlavor(f"no subtableau construction for flavor {flavor}")
     state = {"nodes": 0}
 
@@ -897,27 +799,16 @@ def build_subtableau(
             raise BudgetExceeded
 
     def provide(left_simple, right_simple, suffix):
-        if candidate_provider is not None:
-            return candidate_provider(left_simple, right_simple, suffix)
-        n = max(
-            _suffix_arity(suffix),
-            max(ln(left_simple) | ln(right_simple) | {0}),
-        )
+        n = max(suffix.arity, max(ln(left_simple) | ln(right_simple) | {0}))
         if n == 0:
             return []
         cands, _ = refine_fixpoints(left_simple, right_simple, n, system, oracle)
         return [c.defn for c in cands]
 
     try:
-        if flavor == "eps-popping":
-            return _sub_pop(goal, system, oracle, bump, provide)
-        return _sub_push(goal, system, oracle, bump, provide)
+        return _sub_pop(goal, system, oracle, bump, provide)
     except BudgetExceeded:
         return TableauNode(goal, leaf_status="pending", evidence=("budget exhausted",))
-
-
-def _suffix_arity(const):
-    return const.arity
 
 
 def _pending(goal, note):
@@ -927,6 +818,25 @@ def _pending(goal, note):
 def _small_goal(goal, m):
     limit = (m if m is not INF else 2) + 2
     return term_height(goal.left) <= limit and term_height(goal.right) <= limit
+
+
+def _cancel(goal, suffix, defn):
+    """Cancel's child goals: entry i of the constant against entry i of the
+    suffix, then both sides with the suffix replaced by the constant."""
+    bad = validate_rec_const(defn)
+    if bad:
+        raise SideConditionError("; ".join(bad))
+    ls = strip_suffix(goal.left, suffix)
+    rs = strip_suffix(goal.right, suffix)
+    if ls is None or rs is None:
+        raise SideConditionError("goal sides do not share the suffix")
+    V = RecConst(defn)
+    children = [
+        Goal(compose(defn.body[i - 1], suffix), select(i, suffix))
+        for i in range(1, defn.arity + 1)
+    ]
+    children.append(Goal(compose(ls, V), compose(rs, V)))
+    return children
 
 
 def _sub_pop(goal, system, oracle, bump, provide):
@@ -944,36 +854,42 @@ def _sub_pop(goal, system, oracle, bump, provide):
         return _pending(goal, f"right decomposition failed: {exc}")
     if dec is None:
         return _pending(goal, "right decomposition undetermined")
-    try:
-        children, evidence = apply_rule(goal, "Rdcp", dec, system, oracle)
-    except SideConditionError as exc:
-        return _pending(goal, f"Rdcp: {exc}")
-    node = TableauNode(goal, rule="Rdcp", evidence=evidence)
-    for aux in children[:-1]:
+    if term_height(dec.prefix) > m:
+        return _pending(goal, "Rdcp: prefix exceeds the pop-bound height")
+    right = _as_seq(goal.right)
+    node = TableauNode(goal, rule="Rdcp", evidence=dec.evidence)
+    for aux in dec.aux:
         bump()
         status = "successful" if oracle.judge(aux.left, aux.right) else "pending"
         node.children.append(
             TableauNode(aux, leaf_status=status, evidence=("silent-step certificate",))
         )
-    node.children.append(_sub_pop_step2(children[-1], dec, system, oracle, bump, provide))
+    kept = Seq(right.state, right.symbol, compose(dec.prefix, dec.residual))
+    node.children.append(
+        _sub_pop_step2(Goal(goal.left, kept), dec.residual, system, oracle, bump, provide)
+    )
     return node
 
 
-def _sub_pop_step2(goal, rdec, system, oracle, bump, provide):
+def _sub_pop_step2(goal, residual, system, oracle, bump, provide):
     bump()
     try:
-        ldec = decompose_left(goal, system, rdec.residual, oracle)
-        children, evidence = apply_rule(goal, "Ldcp", (ldec, rdec.residual), system, oracle)
+        dec = decompose_left(goal, system, residual, oracle)
     except SideConditionError as exc:
         return _pending(goal, f"Ldcp: {exc}")
-    node = TableauNode(goal, rule="Ldcp", evidence=evidence)
-    for sub in children[:-1]:
+    m = system.constants().m_bound
+    if m is not INF and term_size(dec.prefix) > (system.r_max * int(m) + 1) * system.q_count:
+        return _pending(goal, "Ldcp: left prefix exceeds the size bound")
+    left = _as_seq(goal.left)
+    node = TableauNode(goal, rule="Ldcp", evidence=dec.evidence)
+    for sub in dec.subgoals:
         if term_size(sub.left) < term_size(goal.left):
             node.children.append(_sub_pop(sub, system, oracle, bump, provide))
         else:
             node.children.append(_pending(sub, "no size decrease"))
+    kept = Seq(left.state, left.symbol, compose(dec.prefix, residual))
     node.children.append(
-        _sub_pop_step3(children[-1], rdec.residual, system, oracle, bump, provide)
+        _sub_pop_step3(Goal(kept, goal.right), residual, system, oracle, bump, provide)
     )
     return node
 
@@ -982,18 +898,17 @@ def _sub_pop_step3(goal, suffix, system, oracle, bump, provide):
     bump()
     ls = strip_suffix(goal.left, suffix)
     rs = strip_suffix(goal.right, suffix)
-    if ls is None or rs is None or _suffix_arity(suffix) == 0:
+    if ls is None or rs is None or suffix.arity == 0:
         return _pending(goal, "no common suffix for cancellation")
     defs = provide(ls, rs, suffix)
     if not defs:
         return _pending(goal, "no cancellation candidate")
     defn = defs[0]
     try:
-        children, evidence = apply_rule(goal, "Cancel", (suffix, defn), system, oracle)
+        children = _cancel(goal, suffix, defn)
     except SideConditionError as exc:
         return _pending(goal, f"Cancel: {exc}")
-    node = TableauNode(goal, rule="Cancel", evidence=evidence)
-    m = system.constants().m_bound
+    node = TableauNode(goal, rule="Cancel", evidence=(f"constant {defn.name}",))
     for i, sub in enumerate(children[:-1], start=1):
         node.children.append(
             _sub_pop_step4(sub, defn.body[i - 1], i, suffix, system, oracle, bump, provide, set())
@@ -1028,14 +943,14 @@ def _sub_pop_step4(goal, L, i, D, system, oracle, bump, provide, seen_rhs):
     left_small = compose(L, inner)
     right_small = select(i, inner)
     defs = provide(strip_suffix(compose(L, compose(inner, d1)), d1) or left_small, right_small, d1)
-    if not defs or _suffix_arity(d1) == 0:
+    if not defs or d1.arity == 0:
         return _pending(goal, "no candidate for double-cut cancellation")
     defn = defs[0]
     try:
-        children, evidence = apply_rule(goal, "Cancel", (d1, defn), system, oracle)
+        children = _cancel(goal, d1, defn)
     except SideConditionError as exc:
         return _pending(goal, f"double-cut Cancel: {exc}")
-    node = TableauNode(goal, rule="Cancel", evidence=evidence + ("double cut",))
+    node = TableauNode(goal, rule="Cancel", evidence=(f"constant {defn.name}", "double cut"))
     for j, sub in enumerate(children[:-1], start=1):
         node.children.append(
             _sub_pop_step4(
@@ -1065,90 +980,16 @@ def _unfold_recs(const, system, oracle):
     return Tup(tuple(unfold_term(e) for e in const.entries))
 
 
-def _sub_push(goal, system, oracle, bump, provide):
-    bump()
-    m = system.constants().m_bound
-    if m is INF:
-        return _pending(goal, "system is not normed")
-    m_int = int(m)
-    if goal.trivial:
-        return TableauNode(goal, leaf_status="successful", evidence=("identical sides",))
-    left, right = _as_seq(goal.left), _as_seq(goal.right)
-    if not isinstance(left, Seq) or not isinstance(right, Seq):
-        return _pending(goal, "non-sequential side")
-    swapped = False
-    if term_size(left) > term_size(right):
-        left, right = right, left
-        swapped = True
-    if term_height(Tup((right,))) - 1 <= m_int or not isinstance(right.cont, Tup):
-        return _pending(goal, "single-node subtableau")
-    b, d = cut_constant(right.cont, m_int)
-    if d.arity == 0:
-        return _pending(goal, "single-node subtableau")
-    work = Goal(left, Seq(right.state, right.symbol, compose(b, d)))
-    try:
-        ldec = decompose_left(work, system, d, oracle)
-        children, evidence = apply_rule(work, "Decmp", (d, ldec), system, oracle)
-    except SideConditionError as exc:
-        return _pending(goal, f"Decmp: {exc}")
-    if swapped:
-        evidence = evidence + ("sides swapped",)
-    node = TableauNode(goal, rule="Decmp", evidence=evidence)
-    for sub in children[:-1]:
-        if term_size(sub.right) > m_int and term_size(sub.left) < term_size(left):
-            node.children.append(_sub_push(sub, system, oracle, bump, provide))
-        else:
-            bump()
-            node.children.append(_pending(sub, "decomposition leaf"))
-    node.children.append(_sub_push_cancel(children[-1], d, system, oracle, bump, provide))
-    return node
-
-
-def _sub_push_cancel(goal, suffix, system, oracle, bump, provide):
-    bump()
-    if _suffix_arity(suffix) == 0:
-        return _pending(goal, "empty suffix")
-    ls = strip_suffix(goal.left, suffix)
-    rs = strip_suffix(goal.right, suffix)
-    if ls is None or rs is None:
-        return _pending(goal, "no common suffix")
-    defs = provide(ls, rs, suffix)
-    if not defs:
-        return _pending(goal, "no cancellation candidate")
-    defn = defs[0]
-    try:
-        children, evidence = apply_rule(goal, "Cancel", (suffix, defn), system, oracle)
-    except SideConditionError as exc:
-        return _pending(goal, f"Cancel: {exc}")
-    node = TableauNode(goal, rule="Cancel", evidence=evidence)
-    m = system.constants().m_bound
-    m_int = int(m) if m is not INF else 2
-    for i, sub in enumerate(children[:-1], start=1):
-        bump()
-        if term_height(sub.right) <= m_int + 1 or not isinstance(suffix, Tup):
-            node.children.append(_step4_leaf(sub, defn.body[i - 1], i, suffix))
-        else:
-            bprime, dprime = cut_constant(suffix, m_int + 1)
-            node.children.append(
-                _sub_push_cancel(sub, dprime, system, oracle, bump, provide)
-            )
-    node.children.append(_pending(children[-1], "cancelled pair"))
-    return node
-
-
-def _step4_leaf(goal, L, i, suffix):
-    if L == Selection(i) or goal.trivial:
-        return TableauNode(goal, leaf_status="successful", evidence=("identity entry",))
-    return _pending(goal, "small entry goal")
-
-
 # ---------------------------------------------------------------------------
 # match validity (used by verification)
 # ---------------------------------------------------------------------------
 
 
 def match_is_valid(goal: Goal, pairs, system: PdaSystem, silent_cap=None, closure_budget: int = 1024):
-    """Whether a set of goals answers every transition of the goal's sides."""
+    """Whether a set of goals answers every transition of the goal's sides
+    (never for a goal whose sides break the selection clause)."""
+    if not _selection_compatible(goal.left, goal.right):
+        return False
     if silent_cap is None and system.has_silent_head_cycles:
         silent_cap = system.nq
     have = {(g.left, g.right) for g in pairs}
@@ -1207,7 +1048,6 @@ def verify_tableau(root: TableauNode, system: PdaSystem, oracle):
         report.append(f"FAIL {msg}")
 
     def visit(node, path):
-        nonlocal ok
         for side in (node.goal.left, node.goal.right):
             for t in subterms(side):
                 if isinstance(t, (RecSel,)):
@@ -1242,8 +1082,6 @@ def verify_tableau(root: TableauNode, system: PdaSystem, oracle):
                     fail(f"successful leaf not certifiable: {g.format()}")
             elif status in ("unsuccessful", "pending"):
                 report.append(f"note {status} leaf {node.goal.format()}")
-                if status == "unsuccessful":
-                    ok_leaves.append(False)
         else:
             if node.rule is None:
                 fail(f"inner node without a rule: {node.goal.format()}")
@@ -1255,7 +1093,6 @@ def verify_tableau(root: TableauNode, system: PdaSystem, oracle):
             for c in node.children:
                 visit(c, path + [node])
 
-    ok_leaves = []
     visit(root, [])
     statuses = [n.leaf_status for n in root.walk() if n.is_leaf()]
     if any(s in ("unsuccessful", "pending") for s in statuses):
@@ -1292,7 +1129,6 @@ def search_tableau(
     system: PdaSystem,
     oracle,
     node_cap: int = 4000,
-    rec_size_cap: int = 1,
     subtableau_budget: int = 200,
 ):
     """Search for a successful tableau under the given budgets.
@@ -1336,9 +1172,7 @@ def search_tableau(
                     g, leaf_status="potential", back_edge=anc_goal, evidence=("repetition",)
                 )
         if g in proven:
-            subtree, escapes = proven[g]
-            if not escapes:
-                return subtree
+            return proven[g]
         if _small_goal(g, m):
             return expand_match(g, path, match_counts)
         stats.subtableaux += 1
@@ -1348,13 +1182,10 @@ def search_tableau(
     def graft(node, path, match_counts):
         if node.is_leaf() and node.leaf_status == "pending":
             return expand_match(node.goal, path, match_counts)
-        if not node.is_leaf():
-            node.children = [
-                graft(c, path + [(node.goal, match_counts[-1])], match_counts)
-                for c in node.children
-            ]
-        if node.is_leaf() and node.leaf_status == "unsuccessful":
-            raise Fail
+        node.children = [
+            graft(c, path + [(node.goal, match_counts[-1])], match_counts)
+            for c in node.children
+        ]
         return node
 
     def expand_match(g, path, match_counts):
@@ -1374,9 +1205,8 @@ def search_tableau(
         new_counts = match_counts + [match_counts[-1] + 1]
         for child in sorted(match, key=lambda c: (term_key(c.left), term_key(c.right))):
             node.children.append(expand(child, new_path, new_counts))
-        escapes = _escaping_backedges(node)
-        if not escapes:
-            proven[g] = (node, escapes)
+        if not _escaping_backedges(node):
+            proven[g] = node
         return node
 
     try:
@@ -1390,18 +1220,13 @@ def search_tableau(
 
 
 def _escaping_backedges(node):
-    goals_within = {n.goal for n in node.walk()}
+    """Back-edge targets of the subtree's potential leaves that are not
+    among the leaf's ancestors within the subtree."""
     out = set()
-    for n in node.walk():
-        if n.leaf_status == "potential" and n.back_edge not in goals_within:
-            out.add(n.back_edge)
-    # a back edge to a goal inside the subtree is only safe if the target is
-    # on the path from this subtree's root to the leaf; approximate by
-    # checking ancestors
+
     def check(n, anc_goals):
-        if n.leaf_status == "potential" and n.back_edge not in out:
-            if n.back_edge not in anc_goals:
-                out.add(n.back_edge)
+        if n.leaf_status == "potential" and n.back_edge not in anc_goals:
+            out.add(n.back_edge)
         for c in n.children:
             check(c, anc_goals | {n.goal})
     check(node, set())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from corpus import random_pushing_system
+from corpus import random_popping_system, random_pushing_system
 from bbpda.cli import main
 from bbpda.ncm import parse_machine
 from bbpda.system import format_system, parse_system
@@ -278,6 +278,16 @@ def test_tableau_pushing_subtableau_unknown(tmp_path, capsys):
     assert out.startswith("unknown") and "eps-pushing" in out
 
 
+def test_tableau_match_keeps_selection_clause(tmp_path, capsys):
+    # Match must not pair the selection 2 with s1 X0 (1, 2); check refutes
+    # this pair at depth 1
+    path = tmp_path / "pop177.sys"
+    path.write_text(format_system(random_popping_system(177)))
+    code = main(["tableau", str(path), "s1 X2 (s1 X2 (1, 2), 2)", "s1 X2 X0"])
+    assert code == 2
+    assert capsys.readouterr().out.startswith("unknown")
+
+
 def test_game_dot_renders_solver_play(tmp_path, capsys):
     path = pushing_file(tmp_path, 250)
     code = main(
@@ -306,3 +316,19 @@ def test_game_silent_cap_counts_answering_step(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "D stuck"
     assert main(argv + ["2"]) == 2
     assert capsys.readouterr().out.startswith("defender survives")
+
+
+def test_check_schedule_applies_silent_cap(tmp_path, capsys):
+    # the joint fragment closes, but the cap still bounds the answer chains
+    path = tmp_path / "silent.sys"
+    path.write_text(SILENT_ANSWER)
+    argv = ["check", str(path), "p X (1, 1)", "q X (1, 1)", "--budget", "1",
+            "--depth-schedule", "1,2", "--silent-cap"]
+    assert main(argv + ["1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "bounded depth 1: apart"
+    assert main(argv + ["2"]) == 2
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "bounded depth 1: related",
+        "bounded depth 2: related",
+        "bounded evidence only; equivalence remains unknown",
+    ]

@@ -1,5 +1,7 @@
 """Tableau construction, rule side conditions, search and verification."""
 
+from pathlib import Path
+
 import pytest
 
 from corpus import random_popping_system, random_pushing_system, sample_pairs
@@ -73,6 +75,16 @@ def test_match_invalid_on_inequivalent_pair(pop):
     goal = Goal(parse_term("p X (1, 2)", pop), parse_term("q X (2, 1)", pop))
     # a bogus empty match set cannot justify a goal with transitions
     assert not match_is_valid(goal, frozenset(), pop)
+
+
+def test_match_keeps_selection_clause():
+    # 2 and s1 X0 (1, 2) differ on the selection clause, so no match set
+    # answers the goal, not even the one whose child is 2 = 2
+    system = random_popping_system(177)
+    two = parse_term("2", system)
+    goal = Goal(two, parse_term("s1 X0 (1, 2)", system))
+    assert not match_is_valid(goal, [Goal(two, two)], system)
+    assert compute_match(goal, system, ExactOracle(system)) is None
 
 
 def test_is_normal_flags_redundant_entries(pop):
@@ -195,3 +207,32 @@ def test_pushing_search_smoke():
         if root is not None:
             ok, report = verify_tableau(root, system, oracle)
             assert ok, report
+
+
+PINNED = Path(__file__).parent / "pinned"
+
+
+@pytest.mark.parametrize(
+    "seed, left, right",
+    [
+        (38, "s0 X0 X0 X0", "s1 X0 X0 X0 X0"),
+        (
+            7,
+            "s0 X0 X0 X0 X0 X0 (s1 X0 (1, 0), 0)",
+            "s1 X0 X0 X0 X0 X0 (s1 X0 (1, 0), 0)",
+        ),
+    ],
+)
+def test_popping_subtableau_pinned(seed, left, right):
+    # tall goals go through the popping subtableau: Rdcp, Ldcp and Cancel,
+    # with Match closing the pending leaves
+    system = random_popping_system(seed)
+    oracle = ExactOracle(system)
+    goal = Goal(parse_term(left, system), parse_term(right, system))
+    root, stats = search_tableau(goal, "eps-popping", system, oracle)
+    assert root is not None
+    assert stats.subtableaux == 1
+    assert {"Rdcp", "Ldcp", "Cancel", "Match"} <= {n.rule for n in root.walk()}
+    ok, report = verify_tableau(root, system, oracle)
+    assert ok, report
+    assert format_tableau(root) + "\n" == (PINNED / f"pop{seed}.txt").read_text()
