@@ -7,8 +7,8 @@ compilation), ``lts`` (finite fragments), ``prop2`` (counter-test laws) and
 
 Exit codes: 0 equivalent / all properties hold, 1 inequivalent / a property
 fails, 2 unknown / inconclusive (also when a search exhausts the recursion
-limit), 64 parse, flag or model errors.  All iteration orders are
-canonical, so outputs and exit codes are deterministic.
+limit), 64 parse, flag or model errors and illegal game scripts.  All
+iteration orders are canonical, so outputs and exit codes are deterministic.
 """
 
 from __future__ import annotations
@@ -158,6 +158,8 @@ def cmd_game(args) -> int:
         )
         text = play_dot(outcome) if args.format == "dot" else outcome.format()
         _emit(text, args.output)
+        if outcome.winner == "script-error":
+            return EX_USAGE
         return EX_EQUIVALENT if outcome.winner != "attacker" else EX_INEQUIVALENT
     result = solve_bounded(start, BoundedChecker(system, silent_cap=args.silent_cap), args.depth)
     if args.format == "dot" and result.outcome is not None:

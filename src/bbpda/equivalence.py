@@ -22,7 +22,6 @@ from .terms import (
     StackWord,
     format_term,
     stack_word,
-    term_key,
 )
 
 INF = math.inf
@@ -48,7 +47,7 @@ class Verdict:
     kind is "equivalent", "inequivalent" or "unknown".  Equivalent verdicts
     carry the block partition of the explored fragment as the witness;
     inequivalent verdicts carry the least failing depth and an attacker
-    script (principal variation).
+    script (the game solver's play).
     """
 
     kind: str
@@ -137,8 +136,13 @@ class FragmentStratification:
     at the largest branching bisimulation.
     """
 
-    def __init__(self, lts: FiniteLts):
+    def __init__(self, lts: FiniteLts, system: PdaSystem):
         self.lts = lts
+        self.system = system
+        # the game's silent cap: a shortest silent path inside a closed
+        # fragment of n nodes has at most n - 1 steps, so a chain with its
+        # answering step never needs more than n and this cap never binds
+        self.silent_cap = len(lts)
         nodes = lts.order
         level = {
             (p, q) for p in nodes for q in nodes if _selection_compatible(p, q)
@@ -154,7 +158,7 @@ class FragmentStratification:
     def stable_depth(self) -> int:
         return len(self.levels) - 1
 
-    def related(self, left, right, depth: int) -> bool:
+    def rel(self, left, right, depth: int) -> bool:
         k = min(depth, self.stable_depth)
         return (left, right) in self.levels[k]
 
@@ -300,23 +304,6 @@ class BoundedChecker:
                     frontier.append((v, d + 1))
         return False
 
-    def find_attack(self, left, right, depth):
-        """An unanswerable move at this depth, or None.
-
-        Returns (side, label, target) with side "left"/"right"; ties break
-        lexicographically on the serialized move.
-        """
-        candidates = []
-        for lab, moved in self.system.step(left):
-            if not self._answers(left, lab, moved, right, depth):
-                candidates.append(("left", lab, moved))
-        for lab, moved in self.system.step(right):
-            if not self._answers(right, lab, moved, left, depth):
-                candidates.append(("right", lab, moved))
-        if not candidates:
-            return None
-        return min(candidates, key=lambda c: (c[0], c[1], term_key(c[2])))
-
 
 # ---------------------------------------------------------------------------
 # public checkers
@@ -350,9 +337,9 @@ def check_finite_exact(
     partition = branching_partition(lts)
     if partition[left] == partition[right]:
         return Verdict("equivalent", partition=partition, spent=len(lts))
-    strat = FragmentStratification(lts)
+    strat = FragmentStratification(lts, system)
     depth = strat.least_failing_depth(left, right)
-    script = extract_attacker_script(system, lts, strat, left, right)
+    script = extract_attacker_script(strat, left, right, depth)
     return Verdict("inequivalent", depth=depth, script=script, spent=len(lts))
 
 
@@ -372,7 +359,7 @@ def bounded_relation(left: Process, right: Process, system: PdaSystem, silent_ca
     if silent_cap is None and not system.has_silent_head_cycles:
         lts = joint_fragment(system, left, right)
         if lts is not None:
-            return FragmentStratification(lts).related
+            return FragmentStratification(lts, system).rel
     return BoundedChecker(system, silent_cap=silent_cap).rel
 
 
@@ -386,95 +373,19 @@ def check_bounded(
 
 
 # ---------------------------------------------------------------------------
-# attacker scripts (principal variation through the stratification)
+# attacker scripts (the solver's play on the stratification)
 # ---------------------------------------------------------------------------
 
 
-def _chain_responses(lts, strat, stay, label, moved, other, depth):
-    """Defender responses to an attack, judged at the given level.
-
-    Yields (intermediates, endpoint_before, final) tuples for chains whose
-    intermediate nodes relate to the stationary side at the level.
-    """
-    rel = strat.levels[min(depth, strat.stable_depth)]
-    responses = []
-    if label == EPSILON:
-        responses.append(((), None, other))  # do nothing
-    seen = {other: ()}
-    queue = [other]
-    while queue:
-        u = queue.pop(0)
-        path = seen[u]
-        for lab, v in lts.successors(u):
-            if lab == label:
-                responses.append((path, u, v))
-            if lab == EPSILON and v not in seen and (stay, v) in rel:
-                seen[v] = path + (v,)
-                queue.append(v)
-    return responses
-
-
 def extract_attacker_script(
-    system: PdaSystem,
-    lts: FiniteLts,
-    strat: FragmentStratification,
-    left: Process,
-    right: Process,
-    max_moves: int = 64,
+    strat: FragmentStratification, left: Process, right: Process, depth: int
 ) -> tuple:
-    """Principal variation of a winning attacker strategy, as script lines.
+    """The solver's play from the pair at its least failing depth, as the
+    move and outcome lines of a ``game --script`` file."""
+    from .game import GameConfig, solver_play
 
-    The attacker always lowers the least failing depth; the shown defender
-    line is a response maximizing it.  Deterministic via serialized-term
-    tie-breaks.
-    """
-    lines = []
-    cur = (left, right)
-    for _ in range(max_moves):
-        p, q = cur
-        k = strat.least_failing_depth(p, q)
-        if k is None:
-            break
-        if k == 0:
-            lines.append("A stuck selection-mismatch")
-            break
-        # attack unanswerable at level k-1
-        attacks = []
-        for side, stay, other in (("left", p, q), ("right", q, p)):
-            for lab, moved in lts.successors(stay):
-                resp = _chain_responses(lts, strat, stay, lab, moved, other, k - 1)
-                if not any(strat.related(moved, r[2], k - 1) for r in resp):
-                    attacks.append((side, lab, moved, resp))
-        if not attacks:
-            break
-        side, lab, moved, resp = min(
-            attacks, key=lambda a: (a[0], a[1], term_key(a[2]))
-        )
-        lines.append(f"A {side} {lab} -> {format_term(moved)}")
-        other = q if side == "left" else p
-        stay = p if side == "left" else q
-        if not resp:
-            lines.append("D stuck")
-            break
-        # defender picks the response whose worst follow-up is deepest
-        def follow_ups(r):
-            inter, _endpoint, final = r
-            outs = [(moved, final) if side == "left" else (final, moved)]
-            for node in inter:
-                outs.append((stay, node) if side == "left" else (node, stay))
-            return outs
-
-        def failing(pair):
-            d = strat.least_failing_depth(*pair)
-            return INF if d is None else d
-
-        best = max(resp, key=lambda r: (min(map(failing, follow_ups(r))), term_key(r[2])))
-        lines.append(f"D eps* {lab} -> {format_term(best[2])}")
-        choices = follow_ups(best)
-        pick = min(range(len(choices)), key=lambda i: (failing(choices[i]), i))
-        lines.append(f"A pick {pick + 1}")
-        cur = choices[pick]
-    return tuple(lines)
+    trace = solver_play(strat, GameConfig(left, right), depth).trace
+    return tuple(line for line in trace if not line.startswith("config "))
 
 
 # ---------------------------------------------------------------------------

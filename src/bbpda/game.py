@@ -154,7 +154,10 @@ class Strategy:
 
 
 class ScriptedStrategy(Strategy):
-    """Replays script lines for one role; illegal moves raise ScriptError."""
+    """Replays script lines for one role; illegal moves raise ScriptError.
+
+    A defender with no legal response is stuck, whatever its script says.
+    """
 
     def __init__(self, moves, system: PdaSystem, role: str):
         self.system = system
@@ -179,6 +182,8 @@ class ScriptedStrategy(Strategy):
         return att
 
     def respond(self, config, attack, legal):
+        if not legal:
+            return None
         move = self._next(("respond", "nothing"))
         if move[1] == "nothing":
             for r in legal:
@@ -201,30 +206,31 @@ class ScriptedStrategy(Strategy):
 
 
 class SolverStrategy(Strategy):
-    """Plays by one bounded checker's game value at a fixed depth."""
+    """Plays by one depth-indexed engine's game value at a fixed depth.
 
-    def __init__(self, checker: BoundedChecker, depth: int):
-        self.checker = checker
-        self.system = checker.system
+    The engine is a ``BoundedChecker`` or a ``FragmentStratification``:
+    anything with ``system``, ``silent_cap`` and ``rel(left, right, depth)``.
+    """
+
+    def __init__(self, engine, depth: int):
+        self.engine = engine
+        self.system = engine.system
         self.depth = depth
 
     def value(self, config: GameConfig) -> int:
         """Least depth at which the pair is apart; depth + 1 if none is."""
-        k = least_failing(self.checker.rel, config.left, config.right, range(self.depth + 1))
+        k = least_failing(self.engine.rel, config.left, config.right, range(self.depth + 1))
         return self.depth + 1 if k is None else k
 
     def attack(self, config: GameConfig):
+        """The first legal attack no response survives one depth lower."""
         k = self.value(config)
         atts = legal_attacks(self.system, config)
-        if not atts:
-            return None
-        if k == 0 or k > self.depth:
-            return atts[0]
-        found = self.checker.find_attack(config.left, config.right, k)
-        if found is None:
-            return atts[0]
-        side, label, target = found
-        return Attack(side, label, target)
+        if 0 < k <= self.depth:
+            for att in atts:
+                if not _answerable(self.engine, config, att, k):
+                    return att
+        return atts[0] if atts else None
 
     def respond(self, config, attack, legal):
         if not legal:
@@ -272,27 +278,29 @@ def run_play(
     """Execute the alternating game for up to max_rounds rounds."""
     config = start
     trace = [f"config {config.format()}"]
+    played = 0  # rounds in which an attack was made
     try:
-        for rnd in range(max_rounds):
+        for _ in range(max_rounds):
             if not _selection_compatible(config.left, config.right):
                 trace.append("A stuck selection-mismatch")
-                return PlayOutcome("attacker", rnd, tuple(trace), config)
+                return PlayOutcome("attacker", played, tuple(trace), config)
             attacks = legal_attacks(system, config)
             if not attacks:
                 trace.append("A no-move")
-                return PlayOutcome("defender", rnd, tuple(trace), config)
+                return PlayOutcome("defender", played, tuple(trace), config)
             attack = attacker.attack(config)
             if attack is None:
                 trace.append("A concede")
-                return PlayOutcome("defender", rnd, tuple(trace), config)
+                return PlayOutcome("defender", played, tuple(trace), config)
             if attack not in attacks:
                 raise ScriptError(f"illegal attack {attack.format()}")
             trace.append(attack.format())
+            played += 1
             legal = legal_defender_responses(system, config, attack, silent_cap=silent_cap)
             response = defender.respond(config, attack, legal)
             if response is None:
                 trace.append("D stuck")
-                return PlayOutcome("attacker", rnd + 1, tuple(trace), config)
+                return PlayOutcome("attacker", played, tuple(trace), config)
             if response not in legal:
                 raise ScriptError("illegal defender response")
             trace.append(response.format(attack.label))
@@ -307,7 +315,7 @@ def run_play(
         return PlayOutcome("undetermined", max_rounds, tuple(trace), config)
     except ScriptError as exc:
         trace.append(f"script-error {exc}")
-        return PlayOutcome("script-error", len(trace), tuple(trace), config)
+        return PlayOutcome("script-error", played, tuple(trace), config)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +352,24 @@ def solve_bounded(start: GameConfig, checker: BoundedChecker, depth: int) -> Sol
     """
     if checker.rel(start.left, start.right, depth):
         return SolveResult("defender", depth, len(checker._memo))
-    solver = SolverStrategy(checker, depth)
-    outcome = run_play(
-        checker.system, start, solver, solver, max_rounds=depth + 1, silent_cap=checker.silent_cap
+    return SolveResult("attacker", depth, len(checker._memo), solver_play(checker, start, depth))
+
+
+def solver_play(engine, start: GameConfig, depth: int) -> PlayOutcome:
+    """The play with ``SolverStrategy(engine, depth)`` in both roles; the
+    one place a solver plays."""
+    solver = SolverStrategy(engine, depth)
+    return run_play(
+        engine.system, start, solver, solver, max_rounds=depth + 1, silent_cap=engine.silent_cap
     )
-    return SolveResult("attacker", depth, len(checker._memo), outcome)
+
+
+def _answerable(engine, config: GameConfig, attack: Attack, depth: int) -> bool:
+    """Whether some legal response keeps every follow-up related at depth - 1."""
+    return any(
+        all(engine.rel(c.left, c.right, depth - 1) for c in response_choices(config, attack, r))
+        for r in legal_defender_responses(engine.system, config, attack, engine.silent_cap)
+    )
 
 
 def survives_round(checker: BoundedChecker, start: GameConfig, depth: int) -> bool:
@@ -361,14 +382,7 @@ def survives_round(checker: BoundedChecker, start: GameConfig, depth: int) -> bo
     compatible = _selection_compatible(start.left, start.right)
     if depth <= 0 or not compatible:
         return compatible
-    system, cap = checker.system, checker.silent_cap
-    return all(
-        any(
-            all(checker.rel(c.left, c.right, depth - 1) for c in response_choices(start, a, r))
-            for r in legal_defender_responses(system, start, a, cap)
-        )
-        for a in legal_attacks(system, start)
-    )
+    return all(_answerable(checker, start, a, depth) for a in legal_attacks(checker.system, start))
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +399,16 @@ def parse_script(text: str, system: PdaSystem):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split(None, 3)
+        parts = line.split(None, 3) + ["", "", ""]
+        if line == "D stuck" or parts[:2] == ["A", "stuck"]:
+            continue  # an outcome line of a printed play; the game decides outcomes itself
         if parts[0] == "A" and parts[1] in ("left", "right"):
             label = parts[2]
             term_text = parts[3]
             if not term_text.startswith("->"):
                 raise ParseError("attack line needs '->'", lineno)
             moves.append(("A", "attack", parts[1], label, parse_term(term_text[2:], system)))
-        elif parts[0] == "A" and parts[1] == "pick":
+        elif parts[0] == "A" and parts[1] == "pick" and parts[2].isdigit():
             moves.append(("A", "pick", int(parts[2])))
         elif parts[0] == "D" and parts[1] == "nothing":
             moves.append(("D", "nothing"))

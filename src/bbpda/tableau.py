@@ -661,7 +661,7 @@ def _mismatch_refinements(P, Q, defn, system, oracle, max_descent: int = 64):
     lts = joint_fragment(system, left0, right0, budget=400)
     if lts is None:
         return None
-    strat = FragmentStratification(lts)
+    strat = FragmentStratification(lts, system)
 
     def failing(a, b):
         return strat.least_failing_depth(a, b)
@@ -709,7 +709,7 @@ def _response_endpoints(lts, strat, stay, label, moved, other, level):
         for lab, v in lts.successors(u):
             if lab == label:
                 ends.append(v)
-            if lab == EPSILON and v not in seen and strat.related(stay, v, level):
+            if lab == EPSILON and v not in seen and strat.rel(stay, v, level):
                 seen.add(v)
                 queue.append(v)
     return ends

@@ -2,10 +2,12 @@
 
 import pytest
 
-from corpus import random_popping_system, random_pushing_system
+from corpus import random_popping_system, random_pushing_system, sample_pairs
 from bbpda.cli import main
+from bbpda.equivalence import BoundedChecker, least_failing
 from bbpda.ncm import parse_machine
-from bbpda.system import format_system, parse_system
+from bbpda.system import format_system, parse_system, parse_term
+from bbpda.terms import format_term
 
 POP = """
 states p q
@@ -168,13 +170,13 @@ def test_game_solver_exit_codes(ab_file):
 
 def test_game_script_play(ab_file, tmp_path, capsys):
     script = tmp_path / "play.script"
-    script.write_text("A left a -> 1\nD eps* a -> 1\n")
+    script.write_text("A left a -> 2\nD eps* a -> 2\n")
     code = main(
         ["game", ab_file, "q X (1, 2)", "q X (1, 2)", "--script", str(script),
          "--max-rounds", "1"]
     )
     assert code == 0
-    assert "winner" in capsys.readouterr().out
+    assert "winner undetermined" in capsys.readouterr().out
 
 
 def test_lts_output_round_trip(pop_file, capsys):
@@ -332,3 +334,92 @@ def test_check_schedule_applies_silent_cap(tmp_path, capsys):
         "bounded depth 2: related",
         "bounded evidence only; equivalence remains unknown",
     ]
+
+
+def test_game_illegal_script_exit_64(ab_file, tmp_path, capsys):
+    script = tmp_path / "illegal.script"
+    script.write_text("A left a -> 1\nD eps* a -> 1\n")  # q's a-move pops to 2
+    code = main(["game", ab_file, "p X (1, 2)", "q X (1, 2)", "--script", str(script)])
+    assert code == 64
+    lines = capsys.readouterr().out.splitlines()
+    # the trace is still printed, and it counts the one round played
+    assert lines[:3] == ["winner script-error", "rounds 1", "config p X (1, 2) | q X (1, 2)"]
+    assert lines[-1] == "script-error no legal chain ends at 1"
+
+
+def test_game_script_defender_stuck(ab_file, tmp_path, capsys):
+    script = tmp_path / "stuck.script"
+    script.write_text("A right b -> 1\n")  # p X has no b-move to answer with
+    code = main(["game", ab_file, "p X (1, 1)", "q X (1, 1)", "--script", str(script)])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["winner attacker", "rounds 1"]
+    assert lines[-1] == "D stuck"
+
+
+def _corpus_pairs(tmp_path, seeds):
+    """(system, system file, left text, right text) for two sampled pairs of
+    each popping and pushing corpus system."""
+    out = []
+    for family, generate in (("pop", random_popping_system), ("push", random_pushing_system)):
+        for seed in seeds:
+            system = generate(seed)
+            path = tmp_path / f"{family}{seed}.sys"
+            path.write_text(format_system(system))
+            for left, right in sample_pairs(seed, system, 2):
+                out.append((system, str(path), format_term(left), format_term(right)))
+    return out
+
+
+def _script_lines(check_out):
+    return [
+        line for line in check_out.splitlines()
+        if not line.startswith(("verdict ", "failing-depth ", "witness-nodes ", "explored "))
+    ]
+
+
+def test_check_scripts_replay_to_attacker_wins(tmp_path, capsys):
+    replayed = 0
+    for _system, path, left, right in _corpus_pairs(tmp_path, range(20)):
+        if main(["check", path, left, right]) != 1:
+            capsys.readouterr()
+            continue
+        script = tmp_path / "check.script"
+        script.write_text("\n".join(_script_lines(capsys.readouterr().out)) + "\n")
+        code = main(["game", path, left, right, "--script", str(script)])
+        out = capsys.readouterr().out
+        assert (code, out.splitlines()[0]) == (1, "winner attacker"), (path, left, right, out)
+        replayed += 1
+    assert replayed > 20
+
+
+def test_check_failing_depth_matches_bounded_checker(tmp_path, capsys):
+    compared = 0
+    for system, path, left, right in _corpus_pairs(tmp_path, range(20)):
+        if main(["check", path, left, right]) != 1:
+            capsys.readouterr()
+            continue
+        lines = capsys.readouterr().out.splitlines()
+        depth = int(lines[1].removeprefix("failing-depth "))
+        checker = BoundedChecker(system)
+        pair = (parse_term(left, system), parse_term(right, system))
+        assert least_failing(checker.rel, *pair, range(depth + 1)) == depth, (path, left, right)
+        compared += 1
+    assert compared > 20
+
+
+def test_cli_sweep_never_raises(tmp_path, capsys):
+    script = tmp_path / "check.script"
+    for _system, path, left, right in _corpus_pairs(tmp_path, range(6)):
+        codes = [main(["check", path, left, right])]
+        script.write_text("\n".join(_script_lines(capsys.readouterr().out)) + "\n")
+        for argv in (
+            ["check", path, left, right, "--budget", "5", "--depth-schedule", "1,2,4"],
+            ["game", path, left, right],
+            ["game", path, left, right, "--script", str(script)],
+            ["tableau", path, left, right],
+            ["lts", path, left, right],
+        ):
+            codes.append(main(argv))
+        capsys.readouterr()
+        assert all(isinstance(c, int) and c in (0, 1, 2, 64) for c in codes), (path, codes)

@@ -97,12 +97,12 @@ def test_stratification_monotone(ab):
     left = parse_term("p X (1, 1)", ab)
     right = parse_term("q X (1, 1)", ab)
     lts = joint_fragment(ab, left, right, 100)
-    strat = FragmentStratification(lts)
-    assert strat.related(left, right, 0)
+    strat = FragmentStratification(lts, ab)
+    assert strat.rel(left, right, 0)
     failing = strat.least_failing_depth(left, right)
     for k in range(failing):
-        assert strat.related(left, right, k)
-    assert not strat.related(left, right, failing)
+        assert strat.rel(left, right, k)
+    assert not strat.rel(left, right, failing)
 
 
 def test_bounded_checker_agrees_with_stratification():
@@ -112,10 +112,10 @@ def test_bounded_checker_agrees_with_stratification():
             lts = joint_fragment(system, left, right, 400)
             if lts is None:
                 continue
-            strat = FragmentStratification(lts)
+            strat = FragmentStratification(lts, system)
             checker = BoundedChecker(system)
-            for depth in (0, 1, 2, 3):
-                assert checker.rel(left, right, depth) == strat.related(
+            for depth in range(strat.stable_depth + 2):
+                assert checker.rel(left, right, depth) == strat.rel(
                     left, right, depth
                 ), (seed, depth)
 

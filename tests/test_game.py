@@ -20,7 +20,7 @@ from bbpda.game import (
     solve_bounded,
     survives_round,
 )
-from bbpda.system import parse_system, parse_term
+from bbpda.system import ParseError, parse_system, parse_term
 
 AB = """
 states p q
@@ -181,3 +181,52 @@ def test_one_round_unfolding_can_disagree(monkeypatch):
     broken = BoundedChecker(system)
     assert broken.rel(start.left, start.right, 1) is True
     assert survives_round(broken, start, 1) is False
+
+
+def test_script_error_counts_rounds_played(ab):
+    text = "A left a -> q X (1, 2)\nD eps* a -> q X (1, 2)\nA left a -> 1\n"
+    moves = parse_script(text, ab)
+    c = config(ab, "q X (1, q X (1, 2))", "q X (1, q X (1, 2))")
+    outcome = run_play(ab, c, ScriptedStrategy(moves, ab, "A"), ScriptedStrategy(moves, ab, "D"))
+    # q pops to entry 2, so the second attack is illegal, after one complete round
+    assert (outcome.winner, outcome.rounds) == ("script-error", 1)
+    assert outcome.trace[-1] == "script-error illegal attack A left a -> 1"
+
+
+def test_script_outcome_lines_are_skipped(ab):
+    assert parse_script("A right b -> 1\nD stuck\nA stuck selection-mismatch\n", ab) == (
+        parse_script("A right b -> 1\n", ab)
+    )
+    for bad in ("A\n", "A pick x\n", "D\n", "A left b\n"):
+        with pytest.raises(ParseError):
+            parse_script(bad, ab)
+
+
+# `o`'s answer o -> a -> x -> w -b-> fits a silent cap of 4, but the
+# checker's depth-first search first reaches x through c and y, at a depth
+# that leaves no room for w
+CAPPED_DFS = """
+states s o a c y x w e
+symbols X
+actions b
+rule s X b -> e X
+rule o X eps -> a X
+rule o X eps -> c X
+rule c X eps -> y X
+rule y X eps -> x X
+rule a X eps -> x X
+rule x X eps -> w X
+rule w X b -> e X
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="capped DFS gives a node the depth of its first discovery, not its shortest",
+)
+def test_capped_checker_finds_every_answer_chain():
+    system = parse_system(CAPPED_DFS)
+    start = config(system, "s X (1)", "o X (1)")
+    checker = BoundedChecker(system, silent_cap=4)
+    assert survives_round(checker, start, 1) is True
+    assert checker.rel(start.left, start.right, 1) is True

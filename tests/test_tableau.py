@@ -7,13 +7,18 @@ import pytest
 from corpus import random_popping_system, random_pushing_system, sample_pairs
 from bbpda.equivalence import ExactOracle, check_finite_exact
 from bbpda.system import parse_system, parse_term
+from bbpda import tableau
 from bbpda.tableau import (
     Goal,
+    _apply_cases,
+    _chain_to,
+    _unfold_recs,
     decompose_right,
     format_tableau,
     is_normal,
     match_is_valid,
     compute_match,
+    normal_unfolding,
     refine_fixpoints,
     search_tableau,
     strip_suffix,
@@ -22,6 +27,8 @@ from bbpda.tableau import (
 )
 from bbpda.terms import (
     EMPTY_TUP,
+    RecConst,
+    format_term,
     select,
     Selection,
     Seq,
@@ -236,3 +243,65 @@ def test_popping_subtableau_pinned(seed, left, right):
     ok, report = verify_tableau(root, system, oracle)
     assert ok, report
     assert format_tableau(root) + "\n" == (PINNED / f"pop{seed}.txt").read_text()
+
+
+# entry 2 of V behaves as nil; entry 1 recurses through p's a-pop
+POP_REC = POP + "rec V[2] = (p X (1, 2), 2) V\n"
+
+
+def test_normal_unfolding_of_recursive_constant():
+    system = parse_system(POP_REC)
+    unfolding = normal_unfolding(system.rec_defs["V"], system, ExactOracle(system))
+    assert format_term(unfolding) == "(p X (1, 0), 2)"
+
+
+def test_unfold_recs_replaces_recursive_tails():
+    system = parse_system(POP_REC)
+    oracle = ExactOracle(system)
+    V = RecConst(system.rec_defs["V"])
+    assert format_term(_unfold_recs(V, system, oracle)) == "(p X (V(1), 0), 0)"
+    const = Tup((parse_term("q Y V", system), select(1, V), Selection(3)))
+    assert format_term(_unfold_recs(const, system, oracle)) == (
+        "(q Y (p X (V(1), 0), 0), p X (V(1), 0), 3)"
+    )
+
+
+def test_decompose_right_unfolds_recursive_continuation(monkeypatch):
+    system = parse_system(POP_REC)
+    unfoldings = []
+
+    def counted(*args, **kwargs):
+        unfoldings.append(normal_unfolding(*args, **kwargs))
+        return unfoldings[-1]
+
+    monkeypatch.setattr(tableau, "normal_unfolding", counted)
+    goal = Goal(parse_term("q Y V", system), parse_term("p Y V", system))
+    # V(1) unfolds to p X (V(1), 0) again and again, until the depth budget
+    # of 6 leaves the entry undetermined
+    assert decompose_right(goal, system, ExactOracle(system)) is None
+    assert len(unfoldings) == 7
+    assert {format_term(u) for u in unfoldings} == {"(p X (1, 0), 2)"}
+
+
+def test_apply_cases_rewires_bodies():
+    one, two = Selection(1), Selection(2)
+    L = Seq("p", "X", Tup((one, two)))
+    # a selection naming a nil-behaving entry identifies the two indices
+    assert _apply_cases((one, two), 2, 1, two) == [((one, one), "identify 1 and 2")]
+    assert _apply_cases((one, two), 2, 2, one) == [((one, one), "identify 2 and 1")]
+    assert _apply_cases((one, one), 2, 2, one) == []
+    assert _apply_cases((L, two), 2, 2, one) == []  # entry 1 is no nil
+    assert _apply_cases((one, two), 2, 1, Selection(3)) == []  # beyond the arity
+    # a shape replaces the entry and every entry chaining down to it
+    note = "entry 1 := p X (1, 2)"
+    assert _apply_cases((one, one, two), 3, 1, L) == [((L, L, L), note)]
+    assert _apply_cases((one, two, two), 3, 1, L) == [((L, two, two), note)]
+
+
+def test_chain_to_follows_descending_selections():
+    one, two, three = Selection(1), Selection(2), Selection(3)
+    assert _chain_to((one, one, two), 3, 1)
+    assert _chain_to((one, one, two), 2, 1)
+    assert not _chain_to((one, two, three), 3, 1)  # 3 names itself
+    assert not _chain_to((one, Seq("p", "X", Tup((one, two))), two), 3, 1)
+    assert not _chain_to((one, three, two), 3, 1)  # 2 points back up
