@@ -160,7 +160,8 @@ def cmd_game(args) -> int:
         _emit(text, args.output)
         if outcome.winner == "script-error":
             return EX_USAGE
-        return EX_EQUIVALENT if outcome.winner != "attacker" else EX_INEQUIVALENT
+        # a play the attacker does not win is evidence only, as in a solved game
+        return EX_INEQUIVALENT if outcome.winner == "attacker" else EX_UNKNOWN
     result = solve_bounded(start, BoundedChecker(system, silent_cap=args.silent_cap), args.depth)
     if args.format == "dot" and result.outcome is not None:
         _emit(play_dot(result.outcome), args.output)

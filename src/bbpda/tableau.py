@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .equivalence import FragmentStratification, _selection_compatible, joint_fragment
+from .equivalence import _selection_compatible
 from .system import EPSILON, PdaSystem
 from .terms import (
     NIL,
@@ -587,179 +587,26 @@ def _make_def(body) -> RecConstDef:
     return RecConstDef(f"V<{sig}>", tuple(body))
 
 
-def _rectify(body):
-    out = []
-    for i, b in enumerate(body, start=1):
-        out.append(Selection(i) if isinstance(b, Selection) else b)
-    return tuple(out)
-
-
-def refine_fixpoints(
-    P: Process,
-    Q: Process,
-    n: int,
-    system: PdaSystem,
-    oracle,
-    step_budget: int | None = None,
-    branch_budget: int = 64,
-):
+def refine_fixpoints(P: Process, Q: Process, n: int, oracle):
     """Candidate recursive constants making the two sides equivalent.
 
-    Starts from the identity constant and refines along oracle-certified
-    mismatches; every branch stops within n(n-1)/2 refinement steps.
-    Returns (candidates, complete_flag).
+    Judges the identity constant only. Refining along a mismatch needs a
+    term of the joint fragment that selects a captured index of the
+    constant, and under the identity body `select` turns every such
+    selection into nil, so no refinement step could ever start from it.
+    Returns (candidates, complete_flag); the flag is False when the oracle
+    leaves the identity candidate undecided.
     """
     if not (ln(P) <= set(range(1, n + 1)) >= ln(Q)):
         raise ValueError("dangling indices must lie within the arity")
-    max_steps = n * (n - 1) // 2 if step_budget is None else step_budget
-    candidates = {}
-    complete = True
-    seen_bodies = set()
-    work = [(tuple(Selection(i) for i in range(1, n + 1)), ("start identity",))]
-    branches = 0
-    while work:
-        body, history = work.pop()
-        if body in seen_bodies:
-            continue
-        seen_bodies.add(body)
-        branches += 1
-        if branches > branch_budget:
-            complete = False
-            break
-        defn = _make_def(_rectify(body))
-        if validate_rec_const(defn):
-            continue
-        V = RecConst(defn)
-        verdict = oracle.judge(compose(P, V), compose(Q, V))
-        if verdict is True:
-            candidates[defn.body] = FixpointCandidate(defn, history)
-            continue
-        if verdict is None:
-            complete = False
-            continue
-        if len(history) - 1 >= max_steps:
-            continue
-        refinements = _mismatch_refinements(P, Q, defn, system, oracle)
-        if refinements is None:
-            complete = False
-            continue
-        for new_body, note in refinements:
-            work.append((new_body, history + (note,)))
-    return sorted(candidates.values(), key=lambda c: term_key(Tup(c.body))), complete
-
-
-def _mismatch_refinements(P, Q, defn, system, oracle, max_descent: int = 64):
-    """Refined bodies from the mismatch between the sides under the constant.
-
-    Descends the refutation until one side is a captured index, reads off
-    the other side's stripped shape, and applies the two rewiring cases.
-    """
+    defn = _make_def(tuple(Selection(i) for i in range(1, n + 1)))
+    if validate_rec_const(defn):
+        return [], True
     V = RecConst(defn)
-    body = defn.body
-    n = defn.arity
-    left0, right0 = compose(P, V), compose(Q, V)
-    lts = joint_fragment(system, left0, right0, budget=400)
-    if lts is None:
-        return None
-    strat = FragmentStratification(lts, system)
-
-    def failing(a, b):
-        return strat.least_failing_depth(a, b)
-
-    out = []
-    seen_pairs = set()
-    stack = [(left0, right0, 0)]
-    while stack:
-        a, b, depth = stack.pop()
-        if (a, b) in seen_pairs or depth > max_descent:
-            continue
-        seen_pairs.add((a, b))
-        for side_a, side_b in ((a, b), (b, a)):
-            i = _captured_index(side_a, defn)
-            if i is not None:
-                L = strip_suffix(side_b, V)
-                if L is None:
-                    continue
-                for new_body, note in _apply_cases(body, n, i, L):
-                    out.append((new_body, note))
-        k = failing(a, b)
-        if k is None or k == 0:
-            continue
-        # descend: attacked move with every response endpoint
-        for stay, other, flip in ((a, b, False), (b, a, True)):
-            for lab, moved in lts.successors(stay):
-                endpoints = _response_endpoints(lts, strat, stay, lab, moved, other, k - 1)
-                answered = any(failing(moved, e) is None for e in endpoints)
-                if answered:
-                    continue
-                for e in endpoints or [other]:
-                    pair = (moved, e) if not flip else (e, moved)
-                    stack.append((pair[0], pair[1], depth + 1))
-    return out
-
-
-def _response_endpoints(lts, strat, stay, label, moved, other, level):
-    ends = []
-    if label == EPSILON:
-        ends.append(other)
-    seen = {other}
-    queue = [other]
-    while queue:
-        u = queue.pop(0)
-        for lab, v in lts.successors(u):
-            if lab == label:
-                ends.append(v)
-            if lab == EPSILON and v not in seen and strat.rel(stay, v, level):
-                seen.add(v)
-                queue.append(v)
-    return ends
-
-
-def _captured_index(term, defn):
-    if isinstance(term, RecSel) and term.defn == defn:
-        return term.index
-    return None
-
-
-def _apply_cases(body, n, i, L):
-    out = []
-    if isinstance(L, Selection) and L.index <= n:
-        j = L.index
-        vj = body[j - 1]
-        if vj == Selection(j):  # V(j) behaves as nil
-            new = list(body)
-            if i < j:
-                new[j - 1] = Selection(i)
-            else:
-                new[i - 1] = Selection(j)
-            if tuple(new) != tuple(body):
-                out.append((tuple(new), f"identify {i} and {j}"))
-    elif term_size(L) > 0:
-        new = list(body)
-        new[i - 1] = L
-        for j in range(i + 1, n + 1):
-            if _chain_to(body, j, i):
-                new[j - 1] = L
-        if tuple(new) != tuple(body):
-            out.append((tuple(new), f"entry {i} := {format_term(L)}"))
-    return out
-
-
-def _chain_to(body, j, i):
-    cur = j
-    seen = set()
-    while cur not in seen:
-        seen.add(cur)
-        b = body[cur - 1]
-        if not isinstance(b, Selection):
-            return False
-        nxt = b.index
-        if nxt == i:
-            return True
-        if nxt >= cur or nxt <= i:
-            return False
-        cur = nxt
-    return False
+    verdict = oracle.judge(compose(P, V), compose(Q, V))
+    if verdict is True:
+        return [FixpointCandidate(defn, ("start identity",))], True
+    return [], verdict is not None
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +649,7 @@ def build_subtableau(goal: Goal, flavor: str, system: PdaSystem, oracle, budget:
         n = max(suffix.arity, max(ln(left_simple) | ln(right_simple) | {0}))
         if n == 0:
             return []
-        cands, _ = refine_fixpoints(left_simple, right_simple, n, system, oracle)
+        cands, _ = refine_fixpoints(left_simple, right_simple, n, oracle)
         return [c.defn for c in cands]
 
     try:

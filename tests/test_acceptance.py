@@ -344,7 +344,7 @@ def test_criterion_10_fixpoint_refinement():
         for left, right in sample_pairs(1, system, 6):
             if not (max(_indices(left), default=0) <= n >= max(_indices(right), default=0)):
                 continue
-            candidates, _complete = refine_fixpoints(left, right, n, system, oracle)
+            candidates, _complete = refine_fixpoints(left, right, n, oracle)
             for cand in candidates:
                 instances += 1
                 if len(cand.history) - 1 > n * (n - 1) // 2:

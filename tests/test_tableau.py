@@ -10,8 +10,6 @@ from bbpda.system import parse_system, parse_term
 from bbpda import tableau
 from bbpda.tableau import (
     Goal,
-    _apply_cases,
-    _chain_to,
     _unfold_recs,
     decompose_right,
     format_tableau,
@@ -178,7 +176,7 @@ def test_decompose_right_produces_bounded_prefix(pop):
 def test_refine_fixpoints_identity_candidate(pop):
     oracle = ExactOracle(pop)
     P = parse_term("p X (1, 2)", pop)
-    candidates, complete = refine_fixpoints(P, P, 2, pop, oracle)
+    candidates, complete = refine_fixpoints(P, P, 2, oracle)
     assert complete
     # the trivial goal accepts at least one constant, and each candidate
     # satisfies the defining fixpoint equation
@@ -196,7 +194,7 @@ def test_refine_fixpoints_step_bound(pop):
     oracle = ExactOracle(pop)
     P = parse_term("p X (1, 2)", pop)
     Q = parse_term("q X (1, 2)", pop)
-    candidates, _complete = refine_fixpoints(P, Q, 2, pop, oracle)
+    candidates, _complete = refine_fixpoints(P, Q, 2, oracle)
     for cand in candidates:
         # history holds the refinement steps; n(n-1)/2 = 1 for n = 2
         assert len(cand.history) - 1 <= 1
@@ -281,27 +279,3 @@ def test_decompose_right_unfolds_recursive_continuation(monkeypatch):
     assert decompose_right(goal, system, ExactOracle(system)) is None
     assert len(unfoldings) == 7
     assert {format_term(u) for u in unfoldings} == {"(p X (1, 0), 2)"}
-
-
-def test_apply_cases_rewires_bodies():
-    one, two = Selection(1), Selection(2)
-    L = Seq("p", "X", Tup((one, two)))
-    # a selection naming a nil-behaving entry identifies the two indices
-    assert _apply_cases((one, two), 2, 1, two) == [((one, one), "identify 1 and 2")]
-    assert _apply_cases((one, two), 2, 2, one) == [((one, one), "identify 2 and 1")]
-    assert _apply_cases((one, one), 2, 2, one) == []
-    assert _apply_cases((L, two), 2, 2, one) == []  # entry 1 is no nil
-    assert _apply_cases((one, two), 2, 1, Selection(3)) == []  # beyond the arity
-    # a shape replaces the entry and every entry chaining down to it
-    note = "entry 1 := p X (1, 2)"
-    assert _apply_cases((one, one, two), 3, 1, L) == [((L, L, L), note)]
-    assert _apply_cases((one, two, two), 3, 1, L) == [((L, two, two), note)]
-
-
-def test_chain_to_follows_descending_selections():
-    one, two, three = Selection(1), Selection(2), Selection(3)
-    assert _chain_to((one, one, two), 3, 1)
-    assert _chain_to((one, one, two), 2, 1)
-    assert not _chain_to((one, two, three), 3, 1)  # 3 names itself
-    assert not _chain_to((one, Seq("p", "X", Tup((one, two))), two), 3, 1)
-    assert not _chain_to((one, three, two), 3, 1)  # 2 points back up
