@@ -7,16 +7,18 @@ compilation), ``lts`` (finite fragments), ``prop2`` (counter-test laws) and
 
 Exit codes: 0 equivalent / all properties hold, 1 inequivalent / a property
 fails, 2 unknown / inconclusive (also when a search exhausts the recursion
-limit), 64 parse, flag or model errors and illegal game scripts.  All
-iteration orders are canonical, so outputs and exit codes are deterministic.
+limit or the closure budget), 64 parse, flag or model errors and illegal
+game scripts.  All iteration orders are canonical, so outputs and exit
+codes are deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
-from .equivalence import BoundedChecker, ExactOracle, bounded_relation
+from .equivalence import BoundedChecker, ClosureBudgetExhausted, ExactOracle, bounded_relation
 from .equivalence import check_finite_exact, least_failing
 from .game import (
     GameConfig,
@@ -299,10 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it
+    unchanged, so every ``main`` call can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:
@@ -313,6 +321,9 @@ def main(argv=None) -> int:
     except RecursionError:
         limit = sys.getrecursionlimit()
         _emit(f"unknown (search exceeded the Python recursion limit {limit})", args.output)
+        return EX_UNKNOWN
+    except ClosureBudgetExhausted as exc:
+        _emit(f"unknown ({exc})", args.output)
         return EX_UNKNOWN
 
 

@@ -28,6 +28,14 @@ INF = math.inf
 CLOSURE_BUDGET = 4096  # silent-closure nodes per answer search, checker and game alike
 
 
+class ClosureBudgetExhausted(Exception):
+    """An answer search hit ``CLOSURE_BUDGET`` with closure nodes left
+    unexplored, so a missing answer would rest on the cut, not the system."""
+
+    def __init__(self):
+        super().__init__(f"closure budget {CLOSURE_BUDGET} exhausted")
+
+
 def _selection_compatible(left: Process, right: Process) -> bool:
     """Clause: left is the selection j exactly when right is."""
     if isinstance(left, Selection) or isinstance(right, Selection):
@@ -47,7 +55,8 @@ class Verdict:
     kind is "equivalent", "inequivalent" or "unknown".  Equivalent verdicts
     carry the block partition of the explored fragment as the witness;
     inequivalent verdicts carry the least failing depth and an attacker
-    script (the game solver's play).
+    script (the game solver's play), or one ``unknown (...)`` line when that
+    play ran out of closure budget.
     """
 
     kind: str
@@ -288,6 +297,7 @@ class BoundedChecker:
             return True
         seen = {other}
         frontier = [(other, 0)]
+        cut = False
         while frontier:
             u, d = frontier.pop()
             for lab, v in self._step(u):
@@ -297,11 +307,14 @@ class BoundedChecker:
                     lab == EPSILON
                     and v not in seen
                     and (self.silent_cap is None or d + 1 < self.silent_cap)
-                    and len(seen) < CLOSURE_BUDGET
-                    and self.rel(stay, v, depth - 1)
                 ):
-                    seen.add(v)
-                    frontier.append((v, d + 1))
+                    if len(seen) >= CLOSURE_BUDGET:
+                        cut = True
+                    elif self.rel(stay, v, depth - 1):
+                        seen.add(v)
+                        frontier.append((v, d + 1))
+        if cut:
+            raise ClosureBudgetExhausted
         return False
 
 
@@ -339,7 +352,10 @@ def check_finite_exact(
         return Verdict("equivalent", partition=partition, spent=len(lts))
     strat = FragmentStratification(lts, system)
     depth = strat.least_failing_depth(left, right)
-    script = extract_attacker_script(strat, left, right, depth)
+    try:
+        script = extract_attacker_script(strat, left, right, depth)
+    except ClosureBudgetExhausted as exc:
+        script = (f"unknown ({exc})",)  # the verdict stands; only its evidence is cut
     return Verdict("inequivalent", depth=depth, script=script, spent=len(lts))
 
 

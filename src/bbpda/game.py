@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equivalence import CLOSURE_BUDGET, BoundedChecker, _selection_compatible, least_failing
+from .equivalence import (
+    CLOSURE_BUDGET,
+    BoundedChecker,
+    ClosureBudgetExhausted,
+    _selection_compatible,
+    least_failing,
+)
 from .system import EPSILON, PdaSystem, SystemError
 from .terms import Process, format_term, term_key
 
@@ -86,6 +92,7 @@ def legal_defender_responses(
     node (one canonical chain per (node, final) pair).  ``silent_cap`` N
     bounds a chain to at most N steps counting the answering step, as in
     ``BoundedChecker``; it is required on silent-head-cyclic systems.
+    Raises ``ClosureBudgetExhausted`` rather than drop a closure node.
     """
     if silent_cap is None and system.has_silent_head_cycles:
         raise SystemError("response enumeration needs a silent cap on this system")
@@ -105,8 +112,9 @@ def legal_defender_responses(
                 lab == EPSILON
                 and v not in paths
                 and (silent_cap is None or len(path) + 1 < silent_cap)
-                and len(paths) < CLOSURE_BUDGET
             ):
+                if len(paths) >= CLOSURE_BUDGET:
+                    raise ClosureBudgetExhausted
                 paths[v] = path + (v,)
                 queue.append(v)
     responses.sort(

@@ -150,7 +150,7 @@ def parse_machine(text: str, counters: int = 2) -> CounterMachine:
 
 def _parse_instruction(parts, lineno):
     def counter(tok):
-        if len(tok) == 2 and tok[0] == "c" and tok[1].isdigit():
+        if len(tok) == 2 and tok[0] == "c" and tok[1] in "0123456789":
             return int(tok[1])
         raise MachineError(f"line {lineno}: bad counter {tok!r}")
 

@@ -32,6 +32,8 @@ from .terms import (
 )
 
 EPSILON = "eps"
+FLAVORS = ("eps_popping", "eps_pushing", "normed_claimed")
+DELIMITERS = "#(),[]="  # with whitespace, these end a token in the text formats
 
 INF = math.inf
 
@@ -116,6 +118,24 @@ class PdaSystem:
         actions = set(self.actions)
         if EPSILON in actions:
             raise SystemError("'eps' is reserved for silent transitions")
+        # every name must print as one token that reads back as what it names
+        for kind, names in (
+            ("state", self.states),
+            ("symbol", self.symbols),
+            ("action", self.actions),
+            ("recursive constant", self.rec_defs),
+        ):
+            for name in names:
+                if not name or name == "->" or any(c.isspace() or c in DELIMITERS for c in name):
+                    raise SystemError(f"{kind} name {name!r} is not a token of the text format")
+                if kind in ("state", "recursive constant") and name.isdigit():
+                    raise SystemError(f"{kind} name {name!r} reads as a selection index")
+        for name in self.rec_defs:
+            if name in states or name in symbols:
+                raise SystemError(f"recursive constant {name} is also a state or symbol name")
+        unknown = sorted(self.flavor - set(FLAVORS))
+        if unknown:
+            raise SystemError(f"unknown flavor {unknown[0]}")
         for r in self.rules:
             if r.head_state not in states or r.target_state not in states:
                 raise SystemError(f"unknown state in {r.format()}")
@@ -208,37 +228,6 @@ class PdaSystem:
 
     def silent_steps(self, term: Process):
         return tuple((l, t) for l, t in self.step(term) if l == EPSILON)
-
-    # -- acceptance --------------------------------------------------------
-
-    def accepts(self, term: Process, word, budget: int = 10000):
-        """Whether some selection is reachable along ``word`` (with silent
-        interleaving).  Returns True, False, or "unknown" on budget
-        exhaustion."""
-        word = tuple(word)
-        for a in word:
-            if a not in self.actions:
-                raise SystemError(f"unknown action {a}")
-        frontier = {(term, 0)}
-        seen = set()
-        exhausted = False
-        while frontier:
-            cfg = frontier.pop()
-            if cfg in seen:
-                continue
-            seen.add(cfg)
-            if len(seen) > budget:
-                exhausted = True
-                break
-            t, i = cfg
-            if i == len(word) and isinstance(t, Selection):
-                return True
-            for label, nxt in self.step(t):
-                if label == EPSILON:
-                    frontier.add((nxt, i))
-                elif i < len(word) and label == word[i]:
-                    frontier.add((nxt, i + 1))
-        return "unknown" if exhausted else False
 
     # -- pop distances and the m bound -------------------------------------
 
@@ -483,7 +472,7 @@ def parse_system(text: str) -> PdaSystem:
         elif kind == "flavor":
             for f in parts[1:]:
                 key = f.replace("-", "_")
-                if key not in ("eps_popping", "eps_pushing", "normed_claimed"):
+                if key not in FLAVORS:
                     raise ParseError(f"unknown flavor {f}", lineno)
                 flavor.add(key)
         elif kind == "rule":
@@ -578,15 +567,13 @@ def _parse_process(toks: _Tokens, system: PdaSystem) -> Process:
     if tok == "0":
         return NIL
     if tok.isdigit():
-        return Selection(int(tok))
+        return Selection(_positive(tok, "index", toks.line))
     if tok in system.rec_defs:
         if toks.peek() == "(":
             toks.next()
-            idx = toks.next()
-            if not idx.isdigit():
-                raise ParseError(f"expected index, got {idx!r}", toks.line)
+            idx = _positive(toks.next(), "index", toks.line)
             toks.expect(")")
-            return select(int(idx), RecConst(system.rec_defs[tok]))
+            return select(idx, RecConst(system.rec_defs[tok]))
         raise ParseError(f"recursive constant {tok} used as a process", toks.line)
     if tok not in system.states:
         raise ParseError(f"unknown state {tok!r}", toks.line)
@@ -603,6 +590,13 @@ def _parse_process(toks: _Tokens, system: PdaSystem) -> Process:
     if len(word) == 1:
         return Seq(state, word[0], cont)
     return stack_word(system.states, state, tuple(word), cont)
+
+
+def _positive(tok: str, what: str, line: int) -> int:
+    """A positive decimal numeral in ASCII digits."""
+    if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
+        raise ParseError(f"expected a positive {what}, got {tok!r}", line)
+    return int(tok)
 
 
 def _parse_constant(toks: _Tokens, system: PdaSystem) -> Constant:
@@ -631,10 +625,7 @@ def _parse_rec_def(line: str, lineno: int, system: PdaSystem) -> RecConstDef:
     toks.expect("rec")
     name = toks.next()
     toks.expect("[")
-    arity_tok = toks.next()
-    if not arity_tok.isdigit():
-        raise ParseError(f"expected arity, got {arity_tok!r}", lineno)
-    arity = int(arity_tok)
+    arity = _positive(toks.next(), "arity", lineno)
     toks.expect("]")
     toks.expect("=")
     toks.expect("(")

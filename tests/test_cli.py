@@ -1,8 +1,14 @@
 """Command-line interface: exit codes, file round-trips, determinism."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from corpus import random_popping_system, random_pushing_system, sample_pairs
+from bbpda import equivalence, game
 from bbpda.cli import main
 from bbpda.equivalence import BoundedChecker, least_failing
 from bbpda.ncm import parse_machine
@@ -424,3 +430,73 @@ def test_cli_sweep_never_raises(tmp_path, capsys):
             codes.append(main(argv))
         capsys.readouterr()
         assert all(isinstance(c, int) and c in (0, 1, 2, 64) for c in codes), (path, codes)
+
+
+def test_main_is_reentrant(tmp_path, capsys):
+    path = tmp_path / "silent.sys"
+    path.write_text(SILENT_ANSWER)
+    # the fragment budget leaves the exact verdict unknown, so a depth
+    # schedule or silent cap left over from an earlier call would show
+    plain = ["check", str(path), "p X (1, 1)", "q X (1, 1)", "--budget", "1"]
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    fresh = subprocess.run(
+        [sys.executable, "-m", "bbpda.cli", *plain],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (fresh.returncode, fresh.stdout) == (2, "verdict unknown\nexplored 1\n")
+
+    def call(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    expected = (fresh.returncode, fresh.stdout)
+    assert call(plain + ["--depth-schedule", "1,2", "--silent-cap", "1"])[0] == 1
+    assert call(plain) == expected
+    assert call(["check", str(path), "p X (1, 1)"])[0] == 64  # missing right term
+    assert call(plain) == expected
+    assert call(["check", "--help"])[0] == 0
+    assert call(plain) == expected
+
+
+def _closure_budget_system(tmp_path):
+    """p0's silent closure has 16383 nodes, and only its 8192 deepest can
+    answer b; s answers b at once."""
+    lines = ["states s z " + " ".join(f"p{i}" for i in range(14)), "symbols X Y Z",
+             "actions b", "flavor eps-pushing"]
+    for i in range(13):
+        lines += [f"rule p{i} X eps -> p{i + 1} X Y", f"rule p{i} X eps -> p{i + 1} X Z"]
+    lines += ["rule p13 X b -> z X", "rule s X b -> z X"]
+    path = tmp_path / "closure.sys"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_closure_budget_exhausted_is_unknown(tmp_path, capsys):
+    path = _closure_budget_system(tmp_path)
+    assert main(["check", path, "s X Y", "p0 X Y", "--budget", "40000"]) == 0
+    assert capsys.readouterr().out.startswith("verdict equivalent")
+    # the script's answer search runs out of budget before it reaches an
+    # answer: unknown, not a stuck defender
+    script = tmp_path / "b.script"
+    script.write_text("A left b -> z X Y\n")
+    assert main(["game", path, "s X Y", "p0 X Y", "--script", str(script)]) == 2
+    assert capsys.readouterr().out == "unknown (closure budget 4096 exhausted)\n"
+
+
+def test_check_script_cut_by_closure_budget(tmp_path, capsys, monkeypatch):
+    # p's b-move refutes exactly; q needs a silent step before its a-move,
+    # which no closure of one node reaches
+    path = tmp_path / "silent_b.sys"
+    path.write_text(
+        "states p q\nsymbols X Y\nactions a b\n"
+        "rule p X a -> p\nrule p X b -> p\nrule q X eps -> q Y\nrule q Y a -> q\n"
+    )
+    monkeypatch.setattr(equivalence, "CLOSURE_BUDGET", 1)
+    monkeypatch.setattr(game, "CLOSURE_BUDGET", 1)
+    assert main(["check", str(path), "p X (1, 1)", "q X (1, 1)"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["verdict inequivalent", "failing-depth 1",
+                         "unknown (closure budget 1 exhausted)"]
+    assert lines[3].startswith("explored ") and len(lines) == 4
