@@ -18,8 +18,8 @@ import argparse
 import functools
 import sys
 
-from .equivalence import BoundedChecker, ClosureBudgetExhausted, ExactOracle, bounded_relation
-from .equivalence import check_finite_exact, least_failing
+from .equivalence import BoundedChecker, ClosureBudgetExhausted, ExactOracle
+from .equivalence import check_finite_exact, cut_reason, least_failing
 from .game import (
     GameConfig,
     ScriptError,
@@ -103,7 +103,7 @@ def cmd_check(args) -> int:
         verdict.kind, EX_UNKNOWN
     )
     if verdict.kind == "unknown" and args.depth_schedule:
-        related = bounded_relation(left, right, system, args.silent_cap)
+        related = BoundedChecker(system, silent_cap=args.silent_cap).rel
         failing = least_failing(related, left, right, args.depth_schedule)
         for depth in args.depth_schedule:
             lines.append(f"bounded depth {depth}: {'apart' if depth == failing else 'related'}")
@@ -318,12 +318,8 @@ def main(argv=None) -> int:
     except (ParseError, MachineError, ModelError, ScriptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except RecursionError:
-        limit = sys.getrecursionlimit()
-        _emit(f"unknown (search exceeded the Python recursion limit {limit})", args.output)
-        return EX_UNKNOWN
-    except ClosureBudgetExhausted as exc:
-        _emit(f"unknown ({exc})", args.output)
+    except (RecursionError, ClosureBudgetExhausted) as exc:
+        _emit(f"unknown ({cut_reason(exc)})", args.output)
         return EX_UNKNOWN
 
 

@@ -1,10 +1,11 @@
 """Branching bisimilarity checkers.
 
 Two independent decision paths are provided on purpose: an exact
-signature-refinement partition on closed finite fragments, and a stratified
-bounded relation (depth-indexed) computed either by pair refinement on a
-closed fragment or by a memoized recursive checker with explicit silent
-caps.  Agreement between the paths is part of the test surface.
+signature-refinement partition on closed finite fragments, and the
+stratified bounded relation (depth-indexed), computed by one memoized
+recursive checker with optional silent caps.  Agreement between the paths
+is part of the test surface.  A pair-refinement stratification of a closed
+fragment is kept as the tests' reference for the checker.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .system import EPSILON, Exceeded, FiniteLts, PdaSystem, SystemError
@@ -36,6 +38,13 @@ class ClosureBudgetExhausted(Exception):
         super().__init__(f"closure budget {CLOSURE_BUDGET} exhausted")
 
 
+def cut_reason(exc: ClosureBudgetExhausted | RecursionError) -> str:
+    """Why a budgeted search stopped, as an ``unknown (...)`` line names it."""
+    if isinstance(exc, RecursionError):
+        return f"search exceeded the Python recursion limit {sys.getrecursionlimit()}"
+    return str(exc)
+
+
 def _selection_compatible(left: Process, right: Process) -> bool:
     """Clause: left is the selection j exactly when right is."""
     if isinstance(left, Selection) or isinstance(right, Selection):
@@ -55,8 +64,10 @@ class Verdict:
     kind is "equivalent", "inequivalent" or "unknown".  Equivalent verdicts
     carry the block partition of the explored fragment as the witness;
     inequivalent verdicts carry the least failing depth and an attacker
-    script (the game solver's play), or one ``unknown (...)`` line when that
-    play ran out of closure budget.
+    script (the game solver's play on a ``BoundedChecker``).  When the
+    closure budget or the recursion limit cuts the depth search, one
+    ``unknown (...)`` line stands in for both; when it cuts only the play,
+    for the script.
     """
 
     kind: str
@@ -143,15 +154,15 @@ class FragmentStratification:
     intermediate nodes relate to the stationary side and whose endpoint
     move lands in a related pair, all at level k.  The sequence stabilizes
     at the largest branching bisimulation.
+
+    No command builds it, since it refines every pair of the fragment at
+    every level: it is the reference the agreement tests compare
+    ``BoundedChecker`` against.  It stays in this module because the
+    benchmark tracer hooks its constructor.
     """
 
-    def __init__(self, lts: FiniteLts, system: PdaSystem):
+    def __init__(self, lts: FiniteLts):
         self.lts = lts
-        self.system = system
-        # the game's silent cap: a shortest silent path inside a closed
-        # fragment of n nodes has at most n - 1 steps, so a chain with its
-        # answering step never needs more than n and this cap never binds
-        self.silent_cap = len(lts)
         nodes = lts.order
         level = {
             (p, q) for p in nodes for q in nodes if _selection_compatible(p, q)
@@ -170,12 +181,6 @@ class FragmentStratification:
     def rel(self, left, right, depth: int) -> bool:
         k = min(depth, self.stable_depth)
         return (left, right) in self.levels[k]
-
-    def least_failing_depth(self, left, right):
-        for k, rel in enumerate(self.levels):
-            if (left, right) not in rel:
-                return k
-        return None
 
     def _answers(self, rel, stay, label, moved, other) -> bool:
         if label == EPSILON and (moved, other) in rel:
@@ -350,12 +355,15 @@ def check_finite_exact(
     partition = branching_partition(lts)
     if partition[left] == partition[right]:
         return Verdict("equivalent", partition=partition, spent=len(lts))
-    strat = FragmentStratification(lts, system)
-    depth = strat.least_failing_depth(left, right)
+    # a silent path inside a closed fragment of n nodes has at most n - 1
+    # steps, so this cap never binds; it admits silent head cycles
+    checker = BoundedChecker(system, silent_cap=len(lts))
+    depth = None
     try:
-        script = extract_attacker_script(strat, left, right, depth)
-    except ClosureBudgetExhausted as exc:
-        script = (f"unknown ({exc})",)  # the verdict stands; only its evidence is cut
+        depth = least_failing(checker.rel, left, right, itertools.count())
+        script = extract_attacker_script(checker, left, right, depth)
+    except (ClosureBudgetExhausted, RecursionError) as exc:
+        script = (f"unknown ({cut_reason(exc)})",)  # the verdict stands; its evidence is cut
     return Verdict("inequivalent", depth=depth, script=script, spent=len(lts))
 
 
@@ -368,39 +376,28 @@ def least_failing(related, left: Process, right: Process, depths):
     return None
 
 
-def bounded_relation(left: Process, right: Process, system: PdaSystem, silent_cap):
-    """One depth-indexed engine for the pair, reusable across depths: the
-    closed joint fragment's stratification when no silent cap is given,
-    else a BoundedChecker (which applies the cap)."""
-    if silent_cap is None and not system.has_silent_head_cycles:
-        lts = joint_fragment(system, left, right)
-        if lts is not None:
-            return FragmentStratification(lts, system).rel
-    return BoundedChecker(system, silent_cap=silent_cap).rel
-
-
 def check_bounded(
     left: Process, right: Process, system: PdaSystem, depth: int, silent_cap=None
 ) -> bool:
     """Whether the pair is related at the given stratification depth."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return bounded_relation(left, right, system, silent_cap)(left, right, depth)
+    return BoundedChecker(system, silent_cap=silent_cap).rel(left, right, depth)
 
 
 # ---------------------------------------------------------------------------
-# attacker scripts (the solver's play on the stratification)
+# attacker scripts (the solver's play)
 # ---------------------------------------------------------------------------
 
 
 def extract_attacker_script(
-    strat: FragmentStratification, left: Process, right: Process, depth: int
+    checker: BoundedChecker, left: Process, right: Process, depth: int
 ) -> tuple:
     """The solver's play from the pair at its least failing depth, as the
     move and outcome lines of a ``game --script`` file."""
     from .game import GameConfig, solver_play
 
-    trace = solver_play(strat, GameConfig(left, right), depth).trace
+    trace = solver_play(checker, GameConfig(left, right), depth).trace
     return tuple(line for line in trace if not line.startswith("config "))
 
 
@@ -423,20 +420,6 @@ class ExactOracle:
         if key not in self._cache:
             self._cache[key] = exact_equivalent(left, right, self.system, self.budget)
         return self._cache[key]
-
-
-class BoundedOracle:
-    """Judge handle backed by the depth-k relation (never Unknown)."""
-
-    def __init__(self, system: PdaSystem, depth: int, silent_cap=None):
-        self.system = system
-        self.depth = depth
-        self.silent_cap = silent_cap
-        self.name = f"bounded(depth={depth})"
-        self._checker = BoundedChecker(system, silent_cap=silent_cap)
-
-    def judge(self, left: Process, right: Process):
-        return self._checker.rel(left, right, self.depth)
 
 
 @dataclass(frozen=True)

@@ -214,20 +214,17 @@ class ScriptedStrategy(Strategy):
 
 
 class SolverStrategy(Strategy):
-    """Plays by one depth-indexed engine's game value at a fixed depth.
+    """Plays by a ``BoundedChecker``'s game value at a fixed depth; the
+    checker's ``system`` and ``silent_cap`` set the legal moves."""
 
-    The engine is a ``BoundedChecker`` or a ``FragmentStratification``:
-    anything with ``system``, ``silent_cap`` and ``rel(left, right, depth)``.
-    """
-
-    def __init__(self, engine, depth: int):
-        self.engine = engine
-        self.system = engine.system
+    def __init__(self, checker: BoundedChecker, depth: int):
+        self.checker = checker
+        self.system = checker.system
         self.depth = depth
 
     def value(self, config: GameConfig) -> int:
         """Least depth at which the pair is apart; depth + 1 if none is."""
-        k = least_failing(self.engine.rel, config.left, config.right, range(self.depth + 1))
+        k = least_failing(self.checker.rel, config.left, config.right, range(self.depth + 1))
         return self.depth + 1 if k is None else k
 
     def attack(self, config: GameConfig):
@@ -236,7 +233,7 @@ class SolverStrategy(Strategy):
         atts = legal_attacks(self.system, config)
         if 0 < k <= self.depth:
             for att in atts:
-                if not _answerable(self.engine, config, att, k):
+                if not _answerable(self.checker, config, att, k):
                     return att
         return atts[0] if atts else None
 
@@ -363,20 +360,20 @@ def solve_bounded(start: GameConfig, checker: BoundedChecker, depth: int) -> Sol
     return SolveResult("attacker", depth, len(checker._memo), solver_play(checker, start, depth))
 
 
-def solver_play(engine, start: GameConfig, depth: int) -> PlayOutcome:
-    """The play with ``SolverStrategy(engine, depth)`` in both roles; the
+def solver_play(checker: BoundedChecker, start: GameConfig, depth: int) -> PlayOutcome:
+    """The play with ``SolverStrategy(checker, depth)`` in both roles; the
     one place a solver plays."""
-    solver = SolverStrategy(engine, depth)
+    solver = SolverStrategy(checker, depth)
     return run_play(
-        engine.system, start, solver, solver, max_rounds=depth + 1, silent_cap=engine.silent_cap
+        checker.system, start, solver, solver, max_rounds=depth + 1, silent_cap=checker.silent_cap
     )
 
 
-def _answerable(engine, config: GameConfig, attack: Attack, depth: int) -> bool:
+def _answerable(checker: BoundedChecker, config: GameConfig, attack: Attack, depth: int) -> bool:
     """Whether some legal response keeps every follow-up related at depth - 1."""
     return any(
-        all(engine.rel(c.left, c.right, depth - 1) for c in response_choices(config, attack, r))
-        for r in legal_defender_responses(engine.system, config, attack, engine.silent_cap)
+        all(checker.rel(c.left, c.right, depth - 1) for c in response_choices(config, attack, r))
+        for r in legal_defender_responses(checker.system, config, attack, checker.silent_cap)
     )
 
 

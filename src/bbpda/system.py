@@ -326,26 +326,6 @@ class PdaSystem:
     def has_silent_head_cycles(self) -> bool:
         return bool(self.detect_silent_head_cycles())
 
-    def max_silent_head_chain(self) -> int:
-        """Longest chain in the silent head graph (only valid when acyclic)."""
-        if self.has_silent_head_cycles:
-            raise SystemError("silent head graph is cyclic")
-        edges = {}
-        for r in self.rules:
-            if r.label == EPSILON and r.target_word:
-                edges.setdefault((r.head_state, r.head_symbol), set()).add(
-                    (r.target_state, r.target_word[0])
-                )
-        memo = {}
-
-        def depth(node):
-            if node in memo:
-                return memo[node]
-            memo[node] = max((1 + depth(n) for n in edges.get(node, ())), default=0)
-            return memo[node]
-
-        return max((depth(n) for n in edges), default=0)
-
     # -- reachable fragments ---------------------------------------------
 
     def reachable_lts(self, roots, budget: int = 500):
@@ -407,35 +387,6 @@ class FiniteLts:
             for label, nxt in self.edges[t]:
                 lines.append(f"{format_term(t)} --{label}--> {format_term(nxt)}")
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# silent closures
-# ---------------------------------------------------------------------------
-
-
-def silent_closure(system: PdaSystem, term: Process, budget: int = 2000):
-    """Terms reachable by silent steps, with shortest-path parents.
-
-    Returns ``(reached, parents, complete)``; ``parents[t]`` is ``None`` for
-    the root and ``(prev, t)`` otherwise.  ``complete`` is False when the
-    node budget was exhausted (possible only for silent-divergent systems).
-    """
-    reached = [term]
-    parents = {term: None}
-    i = 0
-    complete = True
-    while i < len(reached):
-        t = reached[i]
-        i += 1
-        for _l, nxt in system.silent_steps(t):
-            if nxt not in parents:
-                if len(parents) >= budget:
-                    complete = False
-                    continue
-                parents[nxt] = (t, nxt)
-                reached.append(nxt)
-    return reached, parents, complete
 
 
 # ---------------------------------------------------------------------------

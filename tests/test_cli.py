@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from bbpda.cli import main
 from bbpda.equivalence import BoundedChecker, least_failing
 from bbpda.ncm import parse_machine
 from bbpda.system import format_system, parse_system, parse_term
-from bbpda.terms import format_term
+from bbpda.terms import format_term, stack_word, standard_cont
 
 POP = """
 states p q
@@ -378,6 +379,28 @@ def _corpus_pairs(tmp_path, seeds):
     return out
 
 
+def _tall_pushing_pairs(tmp_path, seeds):
+    """Like ``_corpus_pairs``, for two pairs of each pushing corpus system
+    whose stacks hold 6 to 8 symbols; the second pair shares one word."""
+    out = []
+    for seed in seeds:
+        system = random_pushing_system(seed)
+        path = pushing_file(tmp_path, seed)
+        rng = random.Random(f"tall:{seed}")
+        cont = standard_cont(system.q_count)
+
+        def word():
+            return tuple(rng.choice(system.symbols) for _ in range(rng.randint(6, 8)))
+
+        def term(w):
+            return format_term(stack_word(system.states, rng.choice(system.states), w, cont))
+
+        shared = word()
+        for left, right in ((term(word()), term(word())), (term(shared), term(shared))):
+            out.append((system, path, left, right))
+    return out
+
+
 def _script_lines(check_out):
     return [
         line for line in check_out.splitlines()
@@ -417,7 +440,8 @@ def test_check_failing_depth_matches_bounded_checker(tmp_path, capsys):
 
 def test_cli_sweep_never_raises(tmp_path, capsys):
     script = tmp_path / "check.script"
-    for _system, path, left, right in _corpus_pairs(tmp_path, range(6)):
+    pairs = _corpus_pairs(tmp_path, range(6)) + _tall_pushing_pairs(tmp_path, range(6))
+    for _system, path, left, right in pairs:
         codes = [main(["check", path, left, right])]
         script.write_text("\n".join(_script_lines(capsys.readouterr().out)) + "\n")
         for argv in (
@@ -460,14 +484,14 @@ def test_main_is_reentrant(tmp_path, capsys):
     assert call(plain) == expected
 
 
-def _closure_budget_system(tmp_path):
+def _closure_budget_system(tmp_path, extra_rules=()):
     """p0's silent closure has 16383 nodes, and only its 8192 deepest can
-    answer b; s answers b at once."""
+    answer b; s answers b at once.  No rule plays c unless one is added."""
     lines = ["states s z " + " ".join(f"p{i}" for i in range(14)), "symbols X Y Z",
-             "actions b", "flavor eps-pushing"]
+             "actions b c", "flavor eps-pushing"]
     for i in range(13):
         lines += [f"rule p{i} X eps -> p{i + 1} X Y", f"rule p{i} X eps -> p{i + 1} X Z"]
-    lines += ["rule p13 X b -> z X", "rule s X b -> z X"]
+    lines += ["rule p13 X b -> z X", "rule s X b -> z X", *extra_rules]
     path = tmp_path / "closure.sys"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -486,17 +510,76 @@ def test_closure_budget_exhausted_is_unknown(tmp_path, capsys):
 
 
 def test_check_script_cut_by_closure_budget(tmp_path, capsys, monkeypatch):
-    # p's b-move refutes exactly; q needs a silent step before its a-move,
-    # which no closure of one node reaches
-    path = tmp_path / "silent_b.sys"
-    path.write_text(
-        "states p q\nsymbols X Y\nactions a b\n"
-        "rule p X a -> p\nrule p X b -> p\nrule q X eps -> q Y\nrule q Y a -> q\n"
-    )
     monkeypatch.setattr(equivalence, "CLOSURE_BUDGET", 1)
     monkeypatch.setattr(game, "CLOSURE_BUDGET", 1)
-    assert main(["check", str(path), "p X (1, 1)", "q X (1, 1)"]) == 1
+
+    def check(rules):
+        path = tmp_path / "cut.sys"
+        path.write_text("states p q\nsymbols X Y\nactions a b\n" + rules)
+        assert main(["check", str(path), "p X (1, 1)", "q X (1, 1)"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("explored ")
+        return lines[:-1]
+
+    # p's b-move refutes exactly; q needs a silent step before its a-move,
+    # which no closure of one node reaches, so the depth search is cut
+    assert check(
+        "rule p X a -> p\nrule p X b -> p\nrule q X eps -> q Y\nrule q Y a -> q\n"
+    ) == ["verdict inequivalent", "unknown (closure budget 1 exhausted)"]
+    # q's b-move refutes at depth 1 and p, with no silent step, answers
+    # nothing within budget; q answers p's a-move at once, but the play
+    # enumerates q's whole silent closure for that earlier attack
+    assert check(
+        "rule p X a -> p\nrule q X a -> q\nrule q X b -> q\nrule q X eps -> q Y\n"
+    ) == ["verdict inequivalent", "failing-depth 1", "unknown (closure budget 1 exhausted)"]
+
+
+def test_check_refutation_cut_by_closure_budget(tmp_path, capsys):
+    # p0 answers s's c-move nowhere in its 16383-node silent closure: the
+    # exact verdict stands, and the depth search says what cut it
+    path = _closure_budget_system(tmp_path, ["rule s X c -> z X"])
+    assert main(["check", path, "s X Y", "p0 X Y", "--budget", "40000"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:3] == ["verdict inequivalent", "failing-depth 1",
-                         "unknown (closure budget 1 exhausted)"]
-    assert lines[3].startswith("explored ") and len(lines) == 4
+    assert lines[:2] == ["verdict inequivalent", "unknown (closure budget 4096 exhausted)"]
+    assert lines[2].startswith("explored ") and len(lines) == 3
+
+
+def test_check_deep_chain(tmp_path, capsys):
+    # the pair is apart only once the attacker has popped every X
+    path = tmp_path / "chain.sys"
+    path.write_text(
+        "states p q\nsymbols X Y\nactions a b c\n"
+        "rule p X a -> p\nrule q X a -> q\nrule p Y b -> p Y\nrule q Y c -> q Y\n"
+    )
+
+    def pair(k):
+        return [f"p {'X ' * k}Y", f"q {'X ' * k}Y"]
+
+    assert main(["check", str(path), *pair(300), "--budget", "1000"]) == 1
+    limit = sys.getrecursionlimit()
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict inequivalent",
+        f"unknown (search exceeded the Python recursion limit {limit})",
+        "explored 602",
+    ]
+    assert main(["check", str(path), *pair(120)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[1] == "failing-depth 121"
+    script = tmp_path / "chain.script"
+    script.write_text("\n".join(_script_lines(out)) + "\n")
+    argv = ["game", str(path), *pair(120), "--script", str(script), "--max-rounds", "200"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.startswith("winner attacker\n")
+
+
+def test_check_builds_no_stratification(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("FragmentStratification built")
+
+    monkeypatch.setattr(equivalence.FragmentStratification, "__init__", forbidden)
+    refuted = 0
+    for _system, path, left, right in _corpus_pairs(tmp_path, range(10)):
+        refuted += main(["check", path, left, right]) == 1
+        main(["check", path, left, right, "--budget", "5", "--depth-schedule", "1,2,4"])
+    capsys.readouterr()
+    assert refuted > 5

@@ -4,10 +4,15 @@ import random
 
 import pytest
 
-from corpus import random_popping_system, random_pushing_system, sample_pairs, silent_chains
+from corpus import (
+    random_popping_system,
+    random_pushing_system,
+    random_twin_popping_system,
+    sample_pairs,
+    silent_chains,
+)
 from bbpda.equivalence import (
     BoundedChecker,
-    BoundedOracle,
     ExactOracle,
     FragmentStratification,
     Verdict,
@@ -17,6 +22,7 @@ from bbpda.equivalence import (
     classify_silent,
     exact_equivalent,
     joint_fragment,
+    least_failing,
     norm,
 )
 from bbpda.system import parse_system, parse_term
@@ -97,27 +103,40 @@ def test_stratification_monotone(ab):
     left = parse_term("p X (1, 1)", ab)
     right = parse_term("q X (1, 1)", ab)
     lts = joint_fragment(ab, left, right, 100)
-    strat = FragmentStratification(lts, ab)
+    strat = FragmentStratification(lts)
     assert strat.rel(left, right, 0)
-    failing = strat.least_failing_depth(left, right)
+    failing = least_failing(strat.rel, left, right, range(len(strat.levels)))
     for k in range(failing):
         assert strat.rel(left, right, k)
     assert not strat.rel(left, right, failing)
 
 
 def test_bounded_checker_agrees_with_stratification():
-    for seed in range(20):
-        system = random_popping_system(seed)
-        for left, right in sample_pairs(seed, system, 5):
-            lts = joint_fragment(system, left, right, 400)
-            if lts is None:
-                continue
-            strat = FragmentStratification(lts, system)
-            checker = BoundedChecker(system)
-            for depth in range(strat.stable_depth + 2):
-                assert checker.rel(left, right, depth) == strat.rel(
-                    left, right, depth
-                ), (seed, depth)
+    # check's failing depth comes from the capped checker, asked at rising
+    # depths; a second checker asked at falling depths fills its memo in
+    # the other order
+    compared = 0
+    for make in (random_popping_system, random_pushing_system, random_twin_popping_system):
+        for seed in range(20):
+            system = make(seed)
+            for left, right in sample_pairs(seed, system, 5):
+                lts = joint_fragment(system, left, right, 400)
+                if lts is None:
+                    continue
+                strat = FragmentStratification(lts)
+                depths = range(strat.stable_depth + 2)
+                failing = least_failing(strat.rel, left, right, depths)
+                for cap in (None, len(lts)):
+                    case = (make.__name__, seed, cap)
+                    checker = BoundedChecker(system, silent_cap=cap)
+                    assert least_failing(checker.rel, left, right, depths) == failing, case
+                    checker = BoundedChecker(system, silent_cap=cap)
+                    for depth in reversed(depths):
+                        assert checker.rel(left, right, depth) == strat.rel(
+                            left, right, depth
+                        ), (case, depth)
+                compared += 1
+    assert compared > 100
 
 
 def test_exact_oracle_caches_and_judges(ab):
@@ -127,13 +146,6 @@ def test_exact_oracle_caches_and_judges(ab):
     assert oracle.judge(left, left) is True
     assert oracle.judge(left, right) is False
     assert oracle.judge(left, right) is False  # cached path
-
-
-def test_bounded_oracle_never_unknown(ab):
-    oracle = BoundedOracle(ab, depth=4)
-    left = parse_term("p X (1, 1)", ab)
-    right = parse_term("q X (1, 1)", ab)
-    assert oracle.judge(left, right) in (True, False)
 
 
 def test_attacker_script_is_winning(ab):
@@ -147,7 +159,7 @@ def test_attacker_script_is_winning(ab):
 def test_computation_lemma_on_corpus():
     # silent chains with exact-equivalent endpoints: all intermediates
     # are pairwise equivalent; the twin corpus guarantees such chains exist
-    from corpus import chain_roots, random_twin_popping_system
+    from corpus import chain_roots
 
     violations = 0
     checked = 0

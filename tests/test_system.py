@@ -13,7 +13,6 @@ from bbpda.system import (
     format_system,
     parse_system,
     parse_term,
-    silent_closure,
 )
 from bbpda.terms import (
     EMPTY_TUP,
@@ -146,7 +145,6 @@ rule p X eps -> p X
     assert cyclic.has_silent_head_cycles
     acyclic = parse_system(TOY)
     assert not acyclic.has_silent_head_cycles
-    assert acyclic.max_silent_head_chain() == 0
 
 
 def test_reachable_lts_closes(toy):
@@ -171,13 +169,6 @@ rule p X a -> p X X
     result = growing.reachable_lts(t, budget=10)
     assert isinstance(result, Exceeded)
     assert result.explored == 10
-
-
-def test_silent_closure(toy):
-    t = parse_term("p X (0, q Y (0, 0))", toy)
-    reached, parents, complete = silent_closure(toy, t)
-    assert complete and t in reached
-    assert parse_term("q Y (0, 0)", toy) in reached
 
 
 def test_parse_term_round_trip(toy):
