@@ -71,7 +71,7 @@ def _schedule(text: str):
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("budget must be positive")
+        raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 

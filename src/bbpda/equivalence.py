@@ -224,6 +224,14 @@ class BoundedChecker:
     verdict is then relative to the cap.  The memo holds, per pair, the
     deepest depth proven and the shallowest refuted, so one checker serves
     a whole depth schedule.
+
+    ``canon``, when given, is an idempotent quotient map that identifies
+    only strongly bisimilar terms (e.g. dropping stack content below a
+    symbol no rule ever removes).  :meth:`rel` applies it once to its
+    arguments and :meth:`_step` to every successor, so the search itself
+    sees only canonical terms.  With ``horizon`` this needs ``canon`` to
+    fix every horizon cut of a canonical term; the first use of each cut
+    checks that and raises :class:`SystemError` if it fails.
     """
 
     def __init__(self, system: PdaSystem, silent_cap=None, canon=None, horizon: bool = False):
@@ -233,9 +241,6 @@ class BoundedChecker:
             )
         self.system = system
         self.silent_cap = silent_cap
-        # optional idempotent quotient map; must identify only strongly
-        # bisimilar terms (e.g. dropping stack content below a symbol no
-        # rule ever removes)
         self.canon = canon
         # depth-horizon truncation is sound only when silent rules never
         # shorten the stack: then a round exposes at most one deeper symbol
@@ -247,12 +252,21 @@ class BoundedChecker:
         # the depth-k relations are nested, so one interval per pair suffices
         self._memo = {}
         self._steps = {}
+        self._cuts = {}  # (term, depth) -> its horizon cut, for terms the cut shortens
 
     def _trunc(self, term, depth: int):
-        if isinstance(term, StackWord) and len(term.word) > depth + 2:
+        if not (isinstance(term, StackWord) and len(term.word) > depth + 2):
+            return term
+        key = (term, depth)
+        cut = self._cuts.get(key)
+        if cut is None:
             word = term.word[: depth + 1] + (self._filler,)
-            return stack_word(self.system.states, term.state, word, EMPTY_TUP)
-        return term
+            cut = stack_word(self.system.states, term.state, word, EMPTY_TUP)
+            # the search skips canon on cuts, which is sound only if canon fixes them
+            if self.canon is not None and self.canon(cut) != cut:
+                raise SystemError("canon map moves a horizon cut; truncation is unsound")
+            self._cuts[key] = cut
+        return cut
 
     def _step(self, term):
         succ = self._steps.get(term)
@@ -267,6 +281,9 @@ class BoundedChecker:
         if self.canon is not None:
             left = self.canon(left)
             right = self.canon(right)
+        return self._rel(left, right, depth)
+
+    def _rel(self, left: Process, right: Process, depth: int) -> bool:
         if self.horizon:
             left = self._trunc(left, depth)
             right = self._trunc(right, depth)
@@ -298,7 +315,7 @@ class BoundedChecker:
         return ok
 
     def _answers(self, stay, label, moved, other, depth) -> bool:
-        if label == EPSILON and self.rel(moved, other, depth - 1):
+        if label == EPSILON and self._rel(moved, other, depth - 1):
             return True
         seen = {other}
         frontier = [(other, 0)]
@@ -306,7 +323,7 @@ class BoundedChecker:
         while frontier:
             u, d = frontier.pop()
             for lab, v in self._step(u):
-                if lab == label and self.rel(moved, v, depth - 1):
+                if lab == label and self._rel(moved, v, depth - 1):
                     return True
                 if (
                     lab == EPSILON
@@ -315,7 +332,7 @@ class BoundedChecker:
                 ):
                     if len(seen) >= CLOSURE_BUDGET:
                         cut = True
-                    elif self.rel(stay, v, depth - 1):
+                    elif self._rel(stay, v, depth - 1):
                         seen.add(v)
                         frontier.append((v, d + 1))
         if cut:

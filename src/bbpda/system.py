@@ -346,7 +346,8 @@ class PdaSystem:
             if t in nodes:
                 continue
             if len(nodes) >= budget:
-                return Exceeded(len(nodes), len(frontier) + 1)
+                # the queue can hold a term twice, or one explored since it was queued
+                return Exceeded(len(nodes), len({t, *frontier}.difference(nodes)))
             succ = self.step(t)
             nodes[t] = succ
             order.append(t)
@@ -361,7 +362,7 @@ class Exceeded:
     """Budget exhaustion report from :meth:`PdaSystem.reachable_lts`."""
 
     explored: int
-    frontier: int
+    frontier: int  # distinct terms queued but not explored
 
 
 class FiniteLts:

@@ -147,6 +147,18 @@ def test_usage_error_exit_64(pop_file):
     ) == 64
 
 
+def test_nonpositive_option_names_positive_integer(pop_file, machine_file, capsys):
+    for argv in (
+        ["game", pop_file, "p Y (1, 1)", "q Y (1, 1)", "--depth", "0"],
+        ["prop2", machine_file, "--max-counter", "0"],
+        ["check", pop_file, "p Y (1, 1)", "q Y (1, 1)", "--budget", "-3"],
+    ):
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be a positive integer" in err, err
+        assert "budget must be" not in err
+
+
 def test_parse_error_exit_64(pop_file, capsys):
     assert main(["check", pop_file, "p Z (1, 1)", "q Y (1, 1)"]) == 64
     assert "error:" in capsys.readouterr().err
@@ -198,6 +210,14 @@ def test_lts_exceeded_exit_two(tmp_path, capsys):
     path.write_text(GROWING)
     assert main(["lts", str(path), "p X (1)", "--budget", "5"]) == 2
     assert "exceeded" in capsys.readouterr().out
+
+
+def test_lts_exceeded_counts_distinct_frontier(tmp_path, capsys):
+    # both rules lead to the same term, so the queue holds it twice
+    path = tmp_path / "twice.sys"
+    path.write_text("states p\nsymbols X\nactions a b\nrule p X a -> p X X\nrule p X b -> p X X\n")
+    assert main(["lts", str(path), "p X", "--budget", "3"]) == 2
+    assert capsys.readouterr().out == "exceeded (explored 3, frontier 1)\n"
 
 
 def test_compile_round_trip(machine_file, tmp_path):

@@ -5,7 +5,9 @@ import pytest
 import bbpda.equivalence
 import bbpda.ncm
 from bbpda.equivalence import BoundedChecker
+from bbpda.game import GameConfig, survives_round
 from bbpda.ncm import (
+    BOT,
     Branch,
     CounterConfig,
     CounterMachine,
@@ -20,12 +22,15 @@ from bbpda.ncm import (
     decode_config,
     encode_config,
     format_machine,
+    garbage_collapse,
     lemma12_spotcheck,
     lemma13_scenarios,
     lift_machine,
     parse_machine,
     prop2_suite,
 )
+from bbpda.system import SystemError
+from bbpda.terms import EMPTY_TUP, StackWord, stack_word
 
 TWO_COUNTER = """
 1: inc c1 goto 2
@@ -166,3 +171,61 @@ def test_reduction_check_builds_one_checker(monkeypatch):
     assert len(built) == 1
     assert report.attacker_win_depth == 6
     assert report.entries[-1] == (6, "attacker (attack found, cross-check agrees)")
+
+
+def _reduction(text):
+    machine = parse_machine(text)
+    return compile_reduction(lift_machine(machine) if machine.counters == 2 else machine)
+
+
+def _reduction_checker(output, canon=None):
+    if canon is None:
+        canon = garbage_collapse(output)
+    return BoundedChecker(output.system, silent_cap=8, canon=canon, horizon=True)
+
+
+@pytest.mark.parametrize(
+    "text, root_first_win", [("1: halt\n", 6), ("1: goto 1 or goto 1\n2: halt\n", None)]
+)
+def test_one_reduction_checker_serves_depths_in_any_order(text, root_first_win):
+    output = _reduction(text)
+    root = output.root_pair
+    depths = range(8)
+
+    def related(first_win):
+        # the depth-k relations are nested: related below the first win only
+        return [first_win is None or d < first_win for d in depths]
+
+    # the words X C1 C2^6 bot and X C1 C1 C2^5 bot differ in their third symbol,
+    # which cuts to depths 0 and 1 drop and deeper cuts keep; both are cut up to depth 6
+    counters = [output.process("p1", ("X", *counter_word(c), BOT)) for c in ((1, 6, 0), (2, 5, 0))]
+    shared = _reduction_checker(output)
+    for (left, right), first_win in (((root.left, root.right), root_first_win), (counters, 6)):
+        fresh = [_reduction_checker(output).rel(left, right, d) for d in depths]
+        assert fresh == related(first_win)
+        for d in (*depths, *reversed(depths)):
+            assert shared.rel(left, right, d) == fresh[d], d
+            assert survives_round(shared, GameConfig(left, right), d) == fresh[d], d
+    # content below the bottom marker is never exposed, so rel quotients it away
+    garbage = ("C1", "X", BOT, "C2")
+    left = output.process(root.left.state, root.left.word + garbage)
+    right = output.process(root.right.state, root.right.word + garbage)
+    assert [shared.rel(left, right, d) for d in depths] == related(root_first_win)
+    assert [shared.rel(left, root.right, d) for d in depths] == related(root_first_win)
+
+
+def test_canon_that_moves_a_horizon_cut_raises():
+    output = _reduction("1: halt\n")
+    collapse = garbage_collapse(output)
+    filler = output.system.symbols[0]
+
+    def moving(term):
+        # sends a word ending in the filler symbol to one ending in the bottom marker
+        term = collapse(term)
+        if isinstance(term, StackWord) and term.word[-1] == filler:
+            return stack_word(output.system.states, term.state, term.word[:-1] + (BOT,), EMPTY_TUP)
+        return term
+
+    root = output.root_pair
+    with pytest.raises(SystemError, match="horizon cut"):
+        _reduction_checker(output, canon=moving).rel(root.left, root.right, 6)
